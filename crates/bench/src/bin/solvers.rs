@@ -11,7 +11,7 @@ use ffw_mlfma::{Accuracy, MlfmaEngine, MlfmaPlan};
 use ffw_numerics::C64;
 use ffw_par::Pool;
 use ffw_phantom::{object_from_contrast, Cylinder, Phantom};
-use ffw_solver::{bicgstab, bicgstab_precond, gmres, IterConfig, ScatteringOp};
+use ffw_solver::{bicgstab, gmres, solve_lockstep, IterConfig, LockstepOptions, ScatteringOp};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -58,8 +58,13 @@ fn main() {
         let s_bicgs = bicgstab(&a, &phi_inc, &mut x, cfg); // lint:backend-ok microbench compares raw solvers
 
         let m = LeafBlockJacobi::new(&plan, &object);
-        let mut x = vec![C64::ZERO; n];
-        let s_pre = bicgstab_precond(&a, &m, &phi_inc, &mut x, cfg); // lint:backend-ok microbench compares raw solvers
+        let pre = LockstepOptions {
+            precond: Some(&m),
+            ..LockstepOptions::default()
+        };
+        let mut xs = vec![vec![C64::ZERO; n]];
+        let Ok(mut cols) = solve_lockstep(&a, &[&phi_inc], &mut xs, cfg, &pre);
+        let s_pre = cols.remove(0).stats;
 
         let mut x = vec![C64::ZERO; n];
         let s_gmres = gmres(&a, &phi_inc, &mut x, 30, cfg);

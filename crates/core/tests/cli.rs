@@ -76,12 +76,45 @@ fn batch_must_not_exceed_tx() {
     );
 }
 
+/// Batching is a pure scheduling change for the preconditioned solves
+/// too: every column runs its own preconditioned recurrence, so a fused
+/// panel of four writes the byte-identical image of one-at-a-time solves.
 #[test]
-fn batch_rejects_preconditioned_mode() {
-    assert_cli_error(
-        &["--batch", "2", "--precondition"],
-        "--batch cannot be combined with --precondition",
+fn batched_preconditioned_mode_matches_single_rhs() {
+    let dir = std::env::temp_dir().join(format!("ffw-cli-batch-pre-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("create tmp dir");
+    let image = |batch: &str| {
+        let prefix = dir.join(format!("b{batch}"));
+        let out = Command::new(env!("CARGO_BIN_EXE_ffw-reconstruct"))
+            .args([
+                "--size",
+                "32",
+                "--tx",
+                "4",
+                "--rx",
+                "8",
+                "--iterations",
+                "2",
+            ])
+            .args(["--precondition", "--batch", batch])
+            .args(["--out", prefix.to_str().expect("utf8 path")])
+            .env("FFW_THREADS", "2")
+            .output()
+            .expect("spawn ffw-reconstruct");
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "--batch {batch} --precondition failed\nstderr: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        std::fs::read(format!("{}_reconstruction.pgm", prefix.display())).expect("image")
+    };
+    assert_eq!(
+        image("4"),
+        image("1"),
+        "batched preconditioned solves changed the reconstruction"
     );
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]

@@ -1,17 +1,22 @@
 //! Distributed forward/adjoint solves over sub-tree-partitioned vectors.
 //!
 //! Vectors are split across the sub-tree communicator members exactly like
-//! the MLFMA pixel ranges; BiCGStab runs with *local* vector arithmetic and
-//! communicator-wide inner products.
+//! the MLFMA pixel ranges. The solves are the workspace's one lockstep
+//! BiCGStab ([`ffw_solver::solve_lockstep`]) in a rank-group context: local
+//! vector arithmetic, fused block applies of a [`DistOp`], and inner
+//! products summed among the members by [`try_allreduce_scalars`].
 
 use crate::engine::DistMlfma;
 use ffw_mpi::{Comm, FaultError};
-use ffw_numerics::vecops::{norm2_sqr, zdotc};
 use ffw_numerics::{c64, C64};
-use ffw_solver::{IterConfig, SolveStats};
+use ffw_solver::{
+    solve_lockstep, IterConfig, KrylovContext, LockstepOptions, SolveError, SolveStats,
+};
 
 /// Sum-allreduce of complex scalars among an explicit member list (global
-/// rank ids; `members[0]` acts as the root).
+/// rank ids; `members[0]` acts as the root). A dead or unreachable peer
+/// surfaces as a typed [`FaultError`] instead of a panic, so fault-tolerant
+/// drivers can unwind the rank cleanly and relaunch.
 ///
 /// Misuse is diagnosed rather than hung: the member list is validated up
 /// front (every caller must appear in its own list, members must be valid
@@ -19,15 +24,6 @@ use ffw_solver::{IterConfig, SolveStats};
 /// rank waits for a contribution that never comes — the `ffw-mpi` deadlock
 /// watchdog reconstructs the wait-for graph and fails the run with a report
 /// naming the stuck ranks.
-pub fn allreduce_scalars(comm: &Comm, members: &[usize], vals: &mut [C64]) {
-    if let Err(e) = try_allreduce_scalars(comm, members, vals) {
-        panic!("ffw-dist: {e}");
-    }
-}
-
-/// Checked variant of [`allreduce_scalars`]: a dead or unreachable peer
-/// surfaces as a typed [`FaultError`] instead of a panic, so fault-tolerant
-/// drivers can unwind the rank cleanly and relaunch.
 pub fn try_allreduce_scalars(
     comm: &Comm,
     members: &[usize],
@@ -96,34 +92,17 @@ pub fn try_allreduce_scalars(
     Ok(())
 }
 
-/// A distributed operator: applies to local slices, communicating internally.
+/// A distributed operator: applies to local slices, communicating
+/// internally.
 pub trait DistOp {
-    /// Local slice length.
-    fn n_local(&self) -> usize;
-    /// `y_local = (A x)_local`.
-    fn apply_local(&self, x_local: &[C64], y_local: &mut [C64]);
-    /// Checked apply: communication failure surfaces as a typed error.
-    /// Operators without internal communication may keep the default, which
-    /// delegates to [`DistOp::apply_local`].
-    fn try_apply_local(&self, x_local: &[C64], y_local: &mut [C64]) -> Result<(), FaultError> {
-        self.apply_local(x_local, y_local);
-        Ok(())
-    }
     /// Checked block apply: `ys[b] = (A xs[b])_local` for a panel of `B`
-    /// columns. The default loops the scalar path (trivially bit-identical
-    /// per column); operators over a [`DistMlfma`] override it to fuse the
-    /// panel's communication into one message per peer.
+    /// columns, with the panel's communication fused into one message per
+    /// peer. Communication failure surfaces as a typed error.
     fn try_apply_block_local(
         &self,
         xs_local: &[&[C64]],
         ys_local: &mut [Vec<C64>],
-    ) -> Result<(), FaultError> {
-        assert_eq!(xs_local.len(), ys_local.len(), "block width mismatch");
-        for (x, y) in xs_local.iter().zip(ys_local.iter_mut()) {
-            self.try_apply_local(x, y)?;
-        }
-        Ok(())
-    }
+    ) -> Result<(), FaultError>;
 }
 
 /// Distributed `A = I - G0 diag(O)` over a [`DistMlfma`].
@@ -135,34 +114,13 @@ pub struct DistScatteringOp<'a, 'c> {
 }
 
 impl DistOp for DistScatteringOp<'_, '_> {
-    fn n_local(&self) -> usize {
-        self.object_local.len()
-    }
-    fn apply_local(&self, x_local: &[C64], y_local: &mut [C64]) {
-        self.try_apply_local(x_local, y_local)
-            .unwrap_or_else(|e| panic!("ffw-dist: {e}"));
-    }
-    fn try_apply_local(&self, x_local: &[C64], y_local: &mut [C64]) -> Result<(), FaultError> {
-        let ox: Vec<C64> = self
-            .object_local
-            .iter()
-            .zip(x_local)
-            .map(|(o, x)| *o * *x)
-            .collect();
-        self.g0.try_apply(&ox, y_local)?; // lint:single-rhs-ok the op's scalar building block
-        for (y, x) in y_local.iter_mut().zip(x_local) {
-            *y = *x - *y;
-        }
-        Ok(())
-    }
     fn try_apply_block_local(
         &self,
         xs_local: &[&[C64]],
         ys_local: &mut [Vec<C64>],
     ) -> Result<(), FaultError> {
         assert_eq!(xs_local.len(), ys_local.len(), "block width mismatch");
-        // Per-column scaling (same op order as the scalar path), one fused
-        // G0 traversal for the whole panel.
+        // Per-column scaling, one fused G0 traversal for the whole panel.
         let oxs: Vec<Vec<C64>> = xs_local
             .iter()
             .map(|x| {
@@ -193,21 +151,6 @@ pub struct DistAdjointScatteringOp<'a, 'c> {
 }
 
 impl DistOp for DistAdjointScatteringOp<'_, '_> {
-    fn n_local(&self) -> usize {
-        self.object_local.len()
-    }
-    fn apply_local(&self, x_local: &[C64], y_local: &mut [C64]) {
-        self.try_apply_local(x_local, y_local)
-            .unwrap_or_else(|e| panic!("ffw-dist: {e}"));
-    }
-    fn try_apply_local(&self, x_local: &[C64], y_local: &mut [C64]) -> Result<(), FaultError> {
-        let xc: Vec<C64> = x_local.iter().map(|v| v.conj()).collect();
-        self.g0.try_apply(&xc, y_local)?; // lint:single-rhs-ok the op's scalar building block
-        for ((y, x), o) in y_local.iter_mut().zip(x_local).zip(self.object_local) {
-            *y = *x - o.conj() * y.conj();
-        }
-        Ok(())
-    }
     fn try_apply_block_local(
         &self,
         xs_local: &[&[C64]],
@@ -229,262 +172,37 @@ impl DistOp for DistAdjointScatteringOp<'_, '_> {
     }
 }
 
-/// Raw distributed `G0` as a [`DistOp`].
-pub struct DistG0Op<'a, 'c>(pub &'a DistMlfma<'c>);
+/// The lockstep core's rank-group context: block applies of a [`DistOp`]
+/// on local slices, inner products summed among `members`.
+struct RankGroup<'a, A: ?Sized> {
+    op: &'a A,
+    comm: &'a Comm,
+    members: &'a [usize],
+}
 
-impl DistOp for DistG0Op<'_, '_> {
-    fn n_local(&self) -> usize {
-        self.0.n_local()
+impl<A: DistOp + ?Sized> KrylovContext for RankGroup<'_, A> {
+    type Error = FaultError;
+    fn try_apply_block(&self, xs: &[&[C64]], ys: &mut [Vec<C64>]) -> Result<(), FaultError> {
+        self.op.try_apply_block_local(xs, ys)
     }
-    fn apply_local(&self, x_local: &[C64], y_local: &mut [C64]) {
-        self.0.apply(x_local, y_local);
-    }
-    fn try_apply_local(&self, x_local: &[C64], y_local: &mut [C64]) -> Result<(), FaultError> {
-        self.0.try_apply(x_local, y_local)
-    }
-    fn try_apply_block_local(
-        &self,
-        xs_local: &[&[C64]],
-        ys_local: &mut [Vec<C64>],
-    ) -> Result<(), FaultError> {
-        self.0.try_apply_block(xs_local, ys_local)
+    fn reduce(&self, vals: &mut [C64]) -> Result<(), FaultError> {
+        try_allreduce_scalars(self.comm, self.members, vals)
     }
 }
 
-fn finite_c(v: C64) -> bool {
-    v.re.is_finite() && v.im.is_finite()
-}
-
-/// How one distributed BiCGStab cycle ended. Breakdown decisions are made
-/// from *reduced* scalars, which are bit-identical on every member rank, so
-/// all ranks of the communicator take the same branch and stay in lockstep.
-enum DistCycleEnd {
-    Converged(f64),
-    MaxIters(f64),
-    Breakdown { res: f64, detail: String },
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dist_bicgstab_cycle<A: DistOp + ?Sized>(
-    a: &A,
-    comm: &Comm,
-    members: &[usize],
-    b: &[C64],
-    x: &mut [C64],
-    cfg: IterConfig,
-    b_norm: f64,
-    iters: &mut usize,
-    matvecs: &mut usize,
-) -> Result<DistCycleEnd, FaultError> {
-    let n = b.len();
-    let reduce1 = |v: f64| -> Result<f64, FaultError> {
-        let mut s = [c64(v, 0.0)];
-        try_allreduce_scalars(comm, members, &mut s)?;
-        Ok(s[0].re)
-    };
-    let mut r = vec![C64::ZERO; n];
-    a.try_apply_local(x, &mut r)?;
-    *matvecs += 1;
-    for (ri, bi) in r.iter_mut().zip(b) {
-        *ri = *bi - *ri; // r = b - A x
-    }
-    let r_hat = r.clone();
-    let mut rho = C64::ONE;
-    let mut alpha = C64::ONE;
-    let mut omega = C64::ONE;
-    let mut v = vec![C64::ZERO; n];
-    let mut p = vec![C64::ZERO; n];
-    let mut s = vec![C64::ZERO; n];
-    let mut t = vec![C64::ZERO; n];
-    let mut x_prev = vec![C64::ZERO; n];
-
-    let mut res = reduce1(norm2_sqr(&r))?.sqrt() / b_norm;
-    if !res.is_finite() {
-        return Ok(DistCycleEnd::Breakdown {
-            res: f64::NAN,
-            detail: "initial residual is not finite".into(),
-        });
-    }
-    if res < cfg.tol {
-        return Ok(DistCycleEnd::Converged(res));
-    }
-    loop {
-        if *iters >= cfg.max_iters {
-            return Ok(DistCycleEnd::MaxIters(res));
-        }
-        let mut dots = [zdotc(&r_hat, &r)];
-        try_allreduce_scalars(comm, members, &mut dots)?;
-        let rho_new = dots[0];
-        if !finite_c(rho_new) {
-            return Ok(DistCycleEnd::Breakdown {
-                res,
-                detail: "rho inner product is not finite".into(),
-            });
-        }
-        if rho_new.abs() < 1e-300 {
-            return Ok(DistCycleEnd::Breakdown {
-                res,
-                detail: "rho underflow".into(),
-            });
-        }
-        *iters += 1;
-        let beta = (rho_new / rho) * (alpha / omega);
-        for i in 0..n {
-            p[i] = r[i] + beta * (p[i] - omega * v[i]);
-        }
-        a.try_apply_local(&p, &mut v)?;
-        *matvecs += 1;
-        let mut dots = [zdotc(&r_hat, &v)];
-        try_allreduce_scalars(comm, members, &mut dots)?;
-        alpha = rho_new / dots[0];
-        for i in 0..n {
-            s[i] = r[i] - alpha * v[i];
-        }
-        let s_norm = reduce1(norm2_sqr(&s))?.sqrt() / b_norm;
-        if s_norm < cfg.tol {
-            for i in 0..n {
-                x[i] += alpha * p[i];
-            }
-            return Ok(DistCycleEnd::Converged(s_norm));
-        }
-        a.try_apply_local(&s, &mut t)?;
-        *matvecs += 1;
-        let mut dots = [zdotc(&t, &s), zdotc(&t, &t)];
-        try_allreduce_scalars(comm, members, &mut dots)?;
-        omega = dots[0] / dots[1];
-        // Snapshot x so a non-finite update can be rolled back instead of
-        // poisoning the iterate (NaN fails every `<` comparison, so the old
-        // loop silently ran to max_iters with a NaN x).
-        x_prev.copy_from_slice(x);
-        for i in 0..n {
-            x[i] += alpha * p[i] + omega * s[i];
-            r[i] = s[i] - omega * t[i];
-        }
-        let res_new = reduce1(norm2_sqr(&r))?.sqrt() / b_norm;
-        if !res_new.is_finite() {
-            // Rolled-back step is not counted: `iterations` means update
-            // steps reflected in the returned iterate (SolveStats contract).
-            x.copy_from_slice(&x_prev);
-            *iters -= 1;
-            return Ok(DistCycleEnd::Breakdown {
-                res,
-                detail: "residual became non-finite".into(),
-            });
-        }
-        res = res_new;
-        if res < cfg.tol {
-            return Ok(DistCycleEnd::Converged(res));
-        }
-        rho = rho_new;
-    }
-}
-
-/// Distributed BiCGStab over local slices, with inner products reduced among
-/// `members`. The algorithm is numerically identical to the serial
-/// `ffw_solver::bicgstab` — enabling the paper's serial-vs-parallel
-/// consistency check.
+/// Batched distributed BiCGStab: the lockstep core over local slices, with
+/// every operator apply a fused [`DistOp::try_apply_block_local`] over the
+/// still-active columns and every phase's inner products for the panel
+/// riding in ONE allreduce among `members` — the paper's message-fusion
+/// idea extended along the illumination dimension.
 ///
-/// Communication failures panic (use [`try_dist_bicgstab`] for typed
-/// errors); a breakdown returns honest unconverged stats with `x` at the
-/// last finite iterate.
-pub fn dist_bicgstab<A: DistOp>(
-    a: &A,
-    comm: &Comm,
-    members: &[usize],
-    b: &[C64],
-    x: &mut [C64],
-    cfg: IterConfig,
-) -> SolveStats {
-    // lint:backend-ok the distributed Krylov entry points wrap their own impl
-    match dist_bicgstab_impl(a, comm, members, b, x, cfg, 0) {
-        Ok(stats) => stats,
-        Err(DistSolveFailure::Breakdown {
-            iterations,
-            matvecs,
-            rel_residual,
-            ..
-        }) => SolveStats {
-            verify_matvecs: 0,
-            rolled_back: 0,
-            iterations,
-            matvecs,
-            rel_residual,
-            converged: false,
-        },
-        Err(DistSolveFailure::Comm(e)) => panic!("ffw-dist: {e}"),
-    }
-}
-
-/// Checked distributed BiCGStab: a dead peer or lost message surfaces as the
-/// originating [`FaultError`]; a Krylov breakdown retries once from the last
-/// finite iterate (all member ranks take the same decision, since it is made
-/// from reduced scalars) and then surfaces
-/// [`FaultError::KrylovBreakdown`].
-pub fn try_dist_bicgstab<A: DistOp>(
-    a: &A,
-    comm: &Comm,
-    members: &[usize],
-    b: &[C64],
-    x: &mut [C64],
-    cfg: IterConfig,
-) -> Result<SolveStats, FaultError> {
-    // lint:backend-ok the distributed Krylov entry points wrap their own impl
-    match dist_bicgstab_impl(a, comm, members, b, x, cfg, 1) {
-        Ok(stats) => Ok(stats),
-        Err(DistSolveFailure::Comm(e)) => Err(e),
-        Err(DistSolveFailure::Breakdown {
-            iterations,
-            rel_residual,
-            detail,
-            ..
-        }) => Err(FaultError::KrylovBreakdown {
-            rank: comm.rank(),
-            iterations,
-            rel_residual,
-            detail,
-        }),
-    }
-}
-
-/// Fused `dst[c] = A src[c]` over the active columns of a panel, counting
-/// one matvec per column.
-fn block_apply_active<A: DistOp + ?Sized>(
-    a: &A,
-    active: &[usize],
-    src: &[Vec<C64>],
-    dst: &mut [Vec<C64>],
-    matvecs: &mut [usize],
-) -> Result<(), FaultError> {
-    let refs: Vec<&[C64]> = active.iter().map(|&c| src[c].as_slice()).collect();
-    let mut outs: Vec<Vec<C64>> = active
-        .iter()
-        .map(|&c| std::mem::take(&mut dst[c]))
-        .collect();
-    let result = a.try_apply_block_local(&refs, &mut outs);
-    for (k, &c) in active.iter().enumerate() {
-        dst[c] = std::mem::take(&mut outs[k]);
-        matvecs[c] += 1;
-    }
-    result
-}
-
-/// Batched distributed BiCGStab: iterates `B` right-hand sides in lockstep,
-/// so every matvec is a fused [`DistOp::try_apply_block_local`] over the
-/// still-active columns and every inner product for the panel rides in ONE
-/// allreduce instead of `B` — this is the paper's message-fusion idea
-/// extended along the illumination dimension.
-///
-/// Per-column arithmetic follows [`try_dist_bicgstab`]'s exact op order and
-/// never mixes columns, so each column's trajectory (iterates, residuals,
-/// stats) is bit-identical to a scalar solve of that column alone. Converged
-/// or broken-down columns are frozen out of subsequent fused applies; every
-/// freeze decision is made from *reduced* scalars, which are bit-identical on
-/// all member ranks, so ranks narrow the active set identically and stay in
-/// lockstep. Columns that break down are retried once from their last finite
-/// iterate after the lockstep sweep (matching [`try_dist_bicgstab`]'s
-/// `max_restarts = 1`); an exhausted column surfaces
-/// [`FaultError::KrylovBreakdown`], a communication failure aborts the whole
-/// batch with the originating error.
+/// Each column's trajectory (iterates, residuals, stats) is bit-identical
+/// to solving it alone, and every freeze decision is made from *reduced*
+/// scalars, which are bit-identical on all member ranks, so ranks narrow
+/// the active set identically and stay in lockstep. A column that breaks
+/// down is retried once from its last finite iterate; if it breaks down
+/// again the solve surfaces [`FaultError::KrylovBreakdown`]. A
+/// communication failure aborts the whole batch with the originating error.
 pub fn try_dist_bicgstab_block<A: DistOp + ?Sized>(
     a: &A,
     comm: &Comm,
@@ -493,388 +211,35 @@ pub fn try_dist_bicgstab_block<A: DistOp + ?Sized>(
     xs: &mut [Vec<C64>],
     cfg: IterConfig,
 ) -> Result<Vec<SolveStats>, FaultError> {
-    let width = bs.len();
-    assert_eq!(xs.len(), width, "bs/xs width mismatch");
-    if width == 0 {
-        return Ok(Vec::new());
-    }
-    let n = bs[0].len();
-    for (b, x) in bs.iter().zip(xs.iter()) {
-        assert_eq!(b.len(), n, "ragged right-hand sides");
-        assert_eq!(x.len(), n, "ragged initial guesses");
-    }
-
-    // One fused reduction for all B norms (the scalar path pays B messages).
-    let mut b_sqr: Vec<C64> = bs.iter().map(|b| c64(norm2_sqr(b), 0.0)).collect();
-    try_allreduce_scalars(comm, members, &mut b_sqr)?;
-    let b_norm: Vec<f64> = b_sqr.iter().map(|v| v.re.sqrt()).collect();
-
-    let mut stats: Vec<SolveStats> = vec![
-        SolveStats {
-            verify_matvecs: 0,
-            rolled_back: 0,
-            iterations: 0,
-            matvecs: 0,
-            rel_residual: 0.0,
-            converged: true,
-        };
-        width
-    ];
-    let mut iters = vec![0usize; width];
-    let mut matvecs = vec![0usize; width];
-    let mut res = vec![0f64; width];
-    // Columns that broke down in the lockstep sweep, retried afterwards.
-    let mut broken: Vec<(usize, String)> = Vec::new();
-
-    let mut active: Vec<usize> = Vec::new();
-    for c in 0..width {
-        if b_norm[c] == 0.0 {
-            // zero RHS short-circuits exactly like the scalar path
-            xs[c].iter_mut().for_each(|v| *v = C64::ZERO);
-        } else {
-            active.push(c);
-        }
-    }
-
-    let mut r = vec![vec![C64::ZERO; n]; width];
-    let mut r_hat = vec![Vec::new(); width];
-    let mut v = vec![vec![C64::ZERO; n]; width];
-    let mut p = vec![vec![C64::ZERO; n]; width];
-    let mut s = vec![vec![C64::ZERO; n]; width];
-    let mut t = vec![vec![C64::ZERO; n]; width];
-    let mut x_prev = vec![vec![C64::ZERO; n]; width];
-    let mut rho = vec![C64::ONE; width];
-    let mut rho_next = vec![C64::ONE; width];
-    let mut alpha = vec![C64::ONE; width];
-    let mut omega = vec![C64::ONE; width];
-
-    if !active.is_empty() {
-        // r = b - A x, one fused traversal for the panel
-        block_apply_active(a, &active, &*xs, &mut r, &mut matvecs)?;
-        for &c in &active {
-            for (ri, bi) in r[c].iter_mut().zip(bs[c]) {
-                *ri = *bi - *ri;
-            }
-            r_hat[c] = r[c].clone();
-        }
-        let mut rn: Vec<C64> = active.iter().map(|&c| c64(norm2_sqr(&r[c]), 0.0)).collect();
-        try_allreduce_scalars(comm, members, &mut rn)?;
-        let mut survivors = Vec::with_capacity(active.len());
-        for (k, &c) in active.iter().enumerate() {
-            res[c] = rn[k].re.sqrt() / b_norm[c];
-            if !res[c].is_finite() {
-                res[c] = f64::NAN;
-                broken.push((c, "initial residual is not finite".into()));
-            } else if res[c] < cfg.tol {
-                stats[c] = SolveStats {
-                    verify_matvecs: 0,
-                    rolled_back: 0,
-                    iterations: 0,
-                    matvecs: matvecs[c],
-                    rel_residual: res[c],
-                    converged: true,
-                };
-            } else {
-                survivors.push(c);
-            }
-        }
-        active = survivors;
-    }
-
-    while !active.is_empty() {
-        // budget check (iters is deterministic and identical on every rank)
-        active.retain(|&c| {
-            if iters[c] >= cfg.max_iters {
-                stats[c] = SolveStats {
-                    verify_matvecs: 0,
-                    rolled_back: 0,
-                    iterations: iters[c],
-                    matvecs: matvecs[c],
-                    rel_residual: res[c],
-                    converged: false,
-                };
-                false
-            } else {
-                true
-            }
-        });
-        if active.is_empty() {
-            break;
-        }
-
-        // phase 1: rho = <r_hat, r>, one fused reduction for the panel
-        let mut dots: Vec<C64> = active.iter().map(|&c| zdotc(&r_hat[c], &r[c])).collect();
-        try_allreduce_scalars(comm, members, &mut dots)?;
-        let mut survivors = Vec::with_capacity(active.len());
-        for (k, &c) in active.iter().enumerate() {
-            let rho_new = dots[k];
-            if !finite_c(rho_new) {
-                broken.push((c, "rho inner product is not finite".into()));
-                continue;
-            }
-            if rho_new.abs() < 1e-300 {
-                broken.push((c, "rho underflow".into()));
-                continue;
-            }
-            iters[c] += 1;
-            let beta = (rho_new / rho[c]) * (alpha[c] / omega[c]);
-            for i in 0..n {
-                p[c][i] = r[c][i] + beta * (p[c][i] - omega[c] * v[c][i]);
-            }
-            rho_next[c] = rho_new;
-            survivors.push(c);
-        }
-        active = survivors;
-        if active.is_empty() {
-            break;
-        }
-
-        block_apply_active(a, &active, &p, &mut v, &mut matvecs)?;
-        // phase 2: alpha and the early s-norm exit
-        let mut dots: Vec<C64> = active.iter().map(|&c| zdotc(&r_hat[c], &v[c])).collect();
-        try_allreduce_scalars(comm, members, &mut dots)?;
-        for (k, &c) in active.iter().enumerate() {
-            alpha[c] = rho_next[c] / dots[k];
-            for i in 0..n {
-                s[c][i] = r[c][i] - alpha[c] * v[c][i];
-            }
-        }
-        let mut sn: Vec<C64> = active.iter().map(|&c| c64(norm2_sqr(&s[c]), 0.0)).collect();
-        try_allreduce_scalars(comm, members, &mut sn)?;
-        let mut survivors = Vec::with_capacity(active.len());
-        for (k, &c) in active.iter().enumerate() {
-            let s_norm = sn[k].re.sqrt() / b_norm[c];
-            if s_norm < cfg.tol {
-                for i in 0..n {
-                    xs[c][i] += alpha[c] * p[c][i];
-                }
-                stats[c] = SolveStats {
-                    verify_matvecs: 0,
-                    rolled_back: 0,
-                    iterations: iters[c],
-                    matvecs: matvecs[c],
-                    rel_residual: s_norm,
-                    converged: true,
-                };
-            } else {
-                survivors.push(c);
-            }
-        }
-        active = survivors;
-        if active.is_empty() {
-            break;
-        }
-
-        block_apply_active(a, &active, &s, &mut t, &mut matvecs)?;
-        // phase 3: omega, the x/r update and the residual check — the two
-        // omega dots for every column ride in one reduction
-        let mut dots: Vec<C64> = Vec::with_capacity(2 * active.len());
-        for &c in &active {
-            dots.push(zdotc(&t[c], &s[c]));
-            dots.push(zdotc(&t[c], &t[c]));
-        }
-        try_allreduce_scalars(comm, members, &mut dots)?;
-        for (k, &c) in active.iter().enumerate() {
-            omega[c] = dots[2 * k] / dots[2 * k + 1];
-            x_prev[c].copy_from_slice(&xs[c]);
-            for i in 0..n {
-                xs[c][i] += alpha[c] * p[c][i] + omega[c] * s[c][i];
-                r[c][i] = s[c][i] - omega[c] * t[c][i];
-            }
-        }
-        let mut rn: Vec<C64> = active.iter().map(|&c| c64(norm2_sqr(&r[c]), 0.0)).collect();
-        try_allreduce_scalars(comm, members, &mut rn)?;
-        let mut survivors = Vec::with_capacity(active.len());
-        for (k, &c) in active.iter().enumerate() {
-            let res_new = rn[k].re.sqrt() / b_norm[c];
-            if !res_new.is_finite() {
-                // Roll back to the last finite iterate, keep the old res.
-                // The uncounted step follows the SolveStats contract:
-                // iterations = update steps reflected in the iterate.
-                xs[c].copy_from_slice(&x_prev[c]);
-                iters[c] -= 1;
-                broken.push((c, "residual became non-finite".into()));
-                continue;
-            }
-            res[c] = res_new;
-            if res_new < cfg.tol {
-                stats[c] = SolveStats {
-                    verify_matvecs: 0,
-                    rolled_back: 0,
-                    iterations: iters[c],
-                    matvecs: matvecs[c],
-                    rel_residual: res_new,
-                    converged: true,
-                };
-            } else {
-                rho[c] = rho_next[c];
-                survivors.push(c);
-            }
-        }
-        active = survivors;
-    }
-
-    // Broken columns retry once from the last finite iterate, exactly like
-    // try_dist_bicgstab (max_restarts = 1). Every rank derived `broken` from
-    // the same reduced scalars, so the per-column cycles below stay
-    // collective across the communicator.
-    broken.sort_by_key(|a| a.0);
-    for (c, mut detail) in broken {
-        let mut restarts = 0u32;
-        loop {
-            let x_finite = xs[c].iter().all(|v| finite_c(*v));
-            if !(restarts < 1 && iters[c] < cfg.max_iters && x_finite) {
-                return Err(FaultError::KrylovBreakdown {
+    let ctx = RankGroup {
+        op: a,
+        comm,
+        members,
+    };
+    let opts = LockstepOptions {
+        restarts: 1,
+        ..LockstepOptions::default()
+    };
+    let cols = solve_lockstep(&ctx, bs, xs, cfg, &opts)?;
+    cols.into_iter()
+        .map(|col| {
+            col.into_result().map_err(|e| {
+                let SolveError::Breakdown {
+                    kind,
+                    iterations,
+                    rel_residual,
+                    restarts,
+                    ..
+                } = e;
+                FaultError::KrylovBreakdown {
                     rank: comm.rank(),
-                    iterations: iters[c],
-                    rel_residual: res[c],
-                    detail: format!("{detail} ({restarts} restart(s) attempted)"),
-                });
-            }
-            restarts += 1;
-            // lint:backend-ok restart loop inside the distributed Krylov implementation
-            match dist_bicgstab_cycle(
-                a,
-                comm,
-                members,
-                bs[c],
-                &mut xs[c],
-                cfg,
-                b_norm[c],
-                &mut iters[c],
-                &mut matvecs[c],
-            )? {
-                DistCycleEnd::Converged(r2) => {
-                    stats[c] = SolveStats {
-                        verify_matvecs: 0,
-                        rolled_back: 0,
-                        iterations: iters[c],
-                        matvecs: matvecs[c],
-                        rel_residual: r2,
-                        converged: true,
-                    };
-                    break;
+                    iterations,
+                    rel_residual,
+                    detail: format!("{kind} ({restarts} restart(s) attempted)"),
                 }
-                DistCycleEnd::MaxIters(r2) => {
-                    stats[c] = SolveStats {
-                        verify_matvecs: 0,
-                        rolled_back: 0,
-                        iterations: iters[c],
-                        matvecs: matvecs[c],
-                        rel_residual: r2,
-                        converged: false,
-                    };
-                    break;
-                }
-                DistCycleEnd::Breakdown {
-                    res: r2,
-                    detail: d2,
-                } => {
-                    res[c] = r2;
-                    detail = d2;
-                }
-            }
-        }
-    }
-    Ok(stats)
-}
-
-/// Internal failure of the distributed solve core.
-enum DistSolveFailure {
-    /// A peer died or a message was lost mid-solve.
-    Comm(FaultError),
-    /// The Krylov recurrence broke down and the restart budget is spent.
-    Breakdown {
-        iterations: usize,
-        matvecs: usize,
-        rel_residual: f64,
-        detail: String,
-    },
-}
-
-impl From<FaultError> for DistSolveFailure {
-    fn from(e: FaultError) -> Self {
-        DistSolveFailure::Comm(e)
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn dist_bicgstab_impl<A: DistOp>(
-    a: &A,
-    comm: &Comm,
-    members: &[usize],
-    b: &[C64],
-    x: &mut [C64],
-    cfg: IterConfig,
-    max_restarts: u32,
-) -> Result<SolveStats, DistSolveFailure> {
-    let n = b.len();
-    assert_eq!(x.len(), n);
-    let mut b_sqr = [c64(norm2_sqr(b), 0.0)];
-    try_allreduce_scalars(comm, members, &mut b_sqr)?;
-    let b_norm = b_sqr[0].re.sqrt();
-    if b_norm == 0.0 {
-        x.iter_mut().for_each(|v| *v = C64::ZERO);
-        return Ok(SolveStats {
-            verify_matvecs: 0,
-            rolled_back: 0,
-            iterations: 0,
-            matvecs: 0,
-            rel_residual: 0.0,
-            converged: true,
-        });
-    }
-    let mut iters = 0usize;
-    let mut matvecs = 0usize;
-    let mut restarts = 0u32;
-    loop {
-        // lint:backend-ok restart loop inside the distributed Krylov implementation
-        match dist_bicgstab_cycle(
-            a,
-            comm,
-            members,
-            b,
-            x,
-            cfg,
-            b_norm,
-            &mut iters,
-            &mut matvecs,
-        )? {
-            DistCycleEnd::Converged(res) => {
-                return Ok(SolveStats {
-                    verify_matvecs: 0,
-                    rolled_back: 0,
-                    iterations: iters,
-                    matvecs,
-                    rel_residual: res,
-                    converged: true,
-                })
-            }
-            DistCycleEnd::MaxIters(res) => {
-                return Ok(SolveStats {
-                    verify_matvecs: 0,
-                    rolled_back: 0,
-                    iterations: iters,
-                    matvecs,
-                    rel_residual: res,
-                    converged: false,
-                })
-            }
-            DistCycleEnd::Breakdown { res, detail } => {
-                let x_finite = x.iter().all(|v| finite_c(*v));
-                if restarts < max_restarts && iters < cfg.max_iters && x_finite {
-                    restarts += 1;
-                    continue;
-                }
-                return Err(DistSolveFailure::Breakdown {
-                    iterations: iters,
-                    matvecs,
-                    rel_residual: res,
-                    detail: format!("{detail} ({restarts} restart(s) attempted)"),
-                });
-            }
-        }
-    }
+            })
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -883,8 +248,15 @@ mod tests {
     use crate::engine::DistMlfma;
     use ffw_geometry::Domain;
     use ffw_mlfma::{Accuracy, MlfmaPlan};
-    use ffw_numerics::vecops::rel_diff;
+    use ffw_numerics::vecops::{rel_diff, zdotc};
     use std::sync::Arc;
+
+    /// `(A x)_local` for one column.
+    fn apply1<A: DistOp>(a: &A, x: &[C64]) -> Vec<C64> {
+        let mut ys = vec![vec![C64::ZERO; x.len()]];
+        a.try_apply_block_local(&[x], &mut ys).expect("apply");
+        ys.pop().expect("one column")
+    }
 
     fn random_x(n: usize, seed: u64) -> Vec<C64> {
         let mut s = seed;
@@ -911,7 +283,7 @@ mod tests {
                 c64(comm.rank() as f64, 1.0),
                 c64(2.0, -(comm.rank() as f64)),
             ];
-            allreduce_scalars(&comm, &members, &mut vals);
+            try_allreduce_scalars(&comm, &members, &mut vals).expect("allreduce");
             vals
         });
         for r in results {
@@ -927,7 +299,7 @@ mod tests {
             let group = comm.rank() % 2;
             let members: Vec<usize> = vec![group, group + 2];
             let mut v = [c64((comm.rank() + 1) as f64, 0.0)];
-            allreduce_scalars(&comm, &members, &mut v);
+            try_allreduce_scalars(&comm, &members, &mut v).expect("allreduce");
             v[0].re
         });
         assert_eq!(results, vec![4.0, 6.0, 4.0, 6.0]); // 1+3, 2+4
@@ -944,7 +316,7 @@ mod tests {
                 // it does not belong to.
                 let members = vec![0, 1];
                 let mut v = [c64(1.0, 0.0)];
-                allreduce_scalars(&comm, &members, &mut v);
+                try_allreduce_scalars(&comm, &members, &mut v).expect("allreduce");
             });
         });
         let msg = result
@@ -974,20 +346,21 @@ mod tests {
                 g0: &g0,
                 object_local: &obj_ref[r * per..(r + 1) * per],
             };
-            let mut x = vec![C64::ZERO; per];
-            let stats = dist_bicgstab(
+            let mut xs = vec![vec![C64::ZERO; per]];
+            let stats = try_dist_bicgstab_block(
                 &a,
                 &comm,
                 &members,
-                &b_ref[r * per..(r + 1) * per],
-                &mut x,
+                &[&b_ref[r * per..(r + 1) * per]],
+                &mut xs,
                 ffw_solver::IterConfig {
                     tol: 1e-9,
                     max_iters: 500,
                 },
-            );
-            assert!(stats.converged, "{stats:?}");
-            x
+            )
+            .expect("solve");
+            assert!(stats[0].converged, "{stats:?}");
+            xs.pop().expect("one column")
         });
         let x: Vec<C64> = slices.into_iter().flatten().collect();
         // verify the residual with an independent single-rank apply
@@ -999,16 +372,14 @@ mod tests {
                 g0: &g0,
                 object_local: obj_ref,
             };
-            let mut y = vec![C64::ZERO; x_ref.len()];
-            a.apply_local(x_ref, &mut y);
-            y
+            apply1(&a, x_ref)
         });
         assert!(rel_diff(&ys[0], &b) < 1e-7, "{}", rel_diff(&ys[0], &b));
     }
 
-    /// The batched distributed solver must reproduce the scalar distributed
-    /// solver bit-for-bit per column — iterates AND stats — at width 1 and
-    /// at a width that exercises real lockstep narrowing, including a zero
+    /// The batched distributed solver must reproduce a width-1 solve of
+    /// each column bit-for-bit — iterates AND stats — at width 1 and at a
+    /// width that exercises real lockstep narrowing, including a zero
     /// right-hand side column riding along.
     #[test]
     fn block_solver_bit_identical_to_scalar_per_column() {
@@ -1050,10 +421,11 @@ mod tests {
                     .expect("block solve");
                 // scalar reference, one column at a time
                 for (c, b_local) in b_locals.iter().enumerate() {
-                    let mut x1 = vec![C64::ZERO; per];
-                    let s1 = try_dist_bicgstab(&a, &comm, &members, b_local, &mut x1, cfg)
-                        .expect("scalar solve");
-                    assert_eq!(xs[c], x1, "column {c} of width {width} drifted");
+                    let mut x1 = vec![vec![C64::ZERO; per]];
+                    let s1 = try_dist_bicgstab_block(&a, &comm, &members, &[b_local], &mut x1, cfg)
+                        .expect("scalar solve")
+                        .remove(0);
+                    assert_eq!(xs[c], x1[0], "column {c} of width {width} drifted");
                     assert_eq!(
                         (stats[c].iterations, stats[c].matvecs, stats[c].converged),
                         (s1.iterations, s1.matvecs, s1.converged),
@@ -1098,15 +470,13 @@ mod tests {
                 g0: &g0,
                 object_local: ol,
             };
-            let mut ax = vec![C64::ZERO; per];
-            a.apply_local(&x_ref[r * per..(r + 1) * per], &mut ax);
-            let mut ahy = vec![C64::ZERO; per];
-            ah.apply_local(&y_ref[r * per..(r + 1) * per], &mut ahy);
+            let ax = apply1(&a, &x_ref[r * per..(r + 1) * per]);
+            let ahy = apply1(&ah, &y_ref[r * per..(r + 1) * per]);
             let mut d = [
                 zdotc(&ax, &y_ref[r * per..(r + 1) * per]),
                 zdotc(&x_ref[r * per..(r + 1) * per], &ahy),
             ];
-            allreduce_scalars(&comm, &members, &mut d);
+            try_allreduce_scalars(&comm, &members, &mut d).expect("allreduce");
             d
         });
         let (lhs, rhs) = (dots[0][0], dots[0][1]);

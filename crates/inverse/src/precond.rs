@@ -96,7 +96,24 @@ mod tests {
     use ffw_greens::{assemble_g0, tree_positions, Kernel};
     use ffw_mlfma::Accuracy;
     use ffw_phantom::{object_from_contrast, Cylinder, Phantom};
-    use ffw_solver::{bicgstab, bicgstab_precond, IterConfig, ScatteringOp};
+    use ffw_solver::{bicgstab, BicgstabBackend, ForwardBackend, IterConfig, ScatteringOp};
+
+    /// One solve through the BiCGStab backend with the leaf-block pair
+    /// attached as its right preconditioner.
+    fn solve_pre(
+        plan: &MlfmaPlan,
+        g0: &Matrix,
+        object: &[C64],
+        b: &[C64],
+        x: &mut [C64],
+        cfg: IterConfig,
+    ) -> ffw_solver::SolveStats {
+        let m = LeafBlockJacobi::new(plan, object);
+        let mh = LeafBlockJacobi::new_adjoint(plan, object);
+        BicgstabBackend::new(g0, object)
+            .with_precond(&m, &mh)
+            .solve(b, x, cfg)
+    }
 
     fn scene(contrast: f64) -> (MlfmaPlan, Vec<C64>, Matrix) {
         let domain = Domain::new(32, 1.0);
@@ -126,9 +143,8 @@ mod tests {
         };
         let mut x_plain = vec![C64::ZERO; n];
         let plain = bicgstab(&a, &b, &mut x_plain, cfg);
-        let m = LeafBlockJacobi::new(&plan, &object);
         let mut x_pre = vec![C64::ZERO; n];
-        let pre = bicgstab_precond(&a, &m, &b, &mut x_pre, cfg);
+        let pre = solve_pre(&plan, &g0, &object, &b, &mut x_pre, cfg);
         assert!(plain.converged && pre.converged);
         assert!(
             ffw_numerics::vecops::rel_diff(&x_pre, &x_plain) < 1e-6,
@@ -148,9 +164,8 @@ mod tests {
         };
         let mut x1 = vec![C64::ZERO; n];
         let plain = bicgstab(&a, &b, &mut x1, cfg);
-        let m = LeafBlockJacobi::new(&plan, &object);
         let mut x2 = vec![C64::ZERO; n];
-        let pre = bicgstab_precond(&a, &m, &b, &mut x2, cfg);
+        let pre = solve_pre(&plan, &g0, &object, &b, &mut x2, cfg);
         assert!(pre.converged);
         assert!(
             pre.iterations < plain.iterations,

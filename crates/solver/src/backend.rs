@@ -6,13 +6,14 @@
 //! and names no solver. Two engines implement the trait today:
 //!
 //! * [`BicgstabBackend`] — the paper's MLFMA+BiCGStab Krylov path
-//!   (wrapping [`crate::forward`]);
+//!   (one call into the lockstep core, [`crate::solve_lockstep`]);
 //! * [`crate::bornseries::BornSeriesBackend`] — the convergent Born-series
 //!   fixed-point engine (no Krylov recurrence at all), admissible whenever
 //!   the contrast bound `kappa = ||G0|| * max|O| < 1` holds.
 //!
-//! A third backend drops in by implementing the four `solve*` methods and
-//! adding one arm to [`make_backend`]; `dbim()` and every caller above it
+//! A third backend drops in by implementing the two block `solve*` methods
+//! (the scalar ones are width-1 panels) and adding one arm to
+//! [`make_backend_with`]; `dbim()` and every caller above it
 //! are untouched. The trait contract:
 //!
 //! * `solve`/`solve_block` solve `A x = b`; `solve_adjoint*` solve
@@ -27,13 +28,11 @@
 //!   the update steps reflected in the returned iterate, `matvecs` the
 //!   operator applications performed on the column's behalf.
 
-use crate::block::bicgstab_block_guarded;
-use crate::forward::{
-    solve_adjoint, solve_adjoint_block, solve_forward, solve_forward_block, AdjointScatteringOp,
-    ScatteringOp,
-};
+use crate::block::{solve_lockstep, LockstepOptions};
+use crate::forward::{AdjointScatteringOp, ScatteringOp};
 use crate::krylov::{IterConfig, SolveStats};
 use crate::op::{BlockLinOp, LinOp};
+use crate::precond::Precond;
 use crate::verify::DriftGuard;
 use ffw_numerics::vecops::norm2;
 use ffw_numerics::{c64, C64};
@@ -120,10 +119,14 @@ pub const KAPPA_LIMIT: f64 = 0.95;
 pub trait ForwardBackend: Sync {
     /// Stable engine name (matches [`BackendChoice::as_str`]).
     fn name(&self) -> &'static str;
-    /// Solves `A x = b` for one right-hand side.
-    fn solve(&self, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats;
-    /// Solves `A^H x = b` for one right-hand side.
-    fn solve_adjoint(&self, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats;
+    /// Solves `A x = b` for one right-hand side: a width-1 panel.
+    fn solve(&self, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats {
+        one_column(b, x, |bs, xs| self.solve_block(bs, xs, cfg))
+    }
+    /// Solves `A^H x = b` for one right-hand side: a width-1 panel.
+    fn solve_adjoint(&self, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats {
+        one_column(b, x, |bs, xs| self.solve_adjoint_block(bs, xs, cfg))
+    }
     /// Solves `A xs[c] = bs[c]` for a panel of columns in lockstep.
     fn solve_block(&self, bs: &[&[C64]], xs: &mut [Vec<C64>], cfg: IterConfig) -> Vec<SolveStats>;
     /// Solves `A^H xs[c] = bs[c]` for a panel of columns in lockstep.
@@ -135,12 +138,15 @@ pub trait ForwardBackend: Sync {
     ) -> Vec<SolveStats>;
 }
 
-/// The MLFMA+BiCGStab engine: wraps [`crate::forward`]'s solve entry points
-/// behind the backend seam.
+/// The MLFMA+BiCGStab engine: every solve is one call into the lockstep
+/// core ([`crate::solve_lockstep`]) on [`ScatteringOp`] or
+/// [`AdjointScatteringOp`]; a scalar solve is a width-1 panel.
 pub struct BicgstabBackend<'a, G: BlockLinOp + ?Sized> {
     g0: &'a G,
     object: &'a [C64],
     guard: Option<&'a DriftGuard>,
+    /// Right preconditioners for the forward and the adjoint system.
+    precond: Option<(&'a dyn Precond, &'a dyn Precond)>,
 }
 
 impl<'a, G: BlockLinOp + ?Sized> BicgstabBackend<'a, G> {
@@ -152,6 +158,7 @@ impl<'a, G: BlockLinOp + ?Sized> BicgstabBackend<'a, G> {
             g0,
             object,
             guard: None,
+            precond: None,
         }
     }
 
@@ -165,44 +172,52 @@ impl<'a, G: BlockLinOp + ?Sized> BicgstabBackend<'a, G> {
         self.guard = Some(guard);
         self
     }
+
+    /// Attaches right preconditioners: `forward` approximates `A^{-1}` and
+    /// serves the forward solves, `adjoint` approximates `A^{-H}` and serves
+    /// the adjoint solves (e.g. `ffw-inverse`'s leaf-block Jacobi pair).
+    pub fn with_precond(mut self, forward: &'a dyn Precond, adjoint: &'a dyn Precond) -> Self {
+        self.precond = Some((forward, adjoint));
+        self
+    }
+
+    fn run<A: BlockLinOp>(
+        &self,
+        a: &A,
+        precond: Option<&dyn Precond>,
+        bs: &[&[C64]],
+        xs: &mut [Vec<C64>],
+        cfg: IterConfig,
+    ) -> Vec<SolveStats> {
+        let opts = LockstepOptions {
+            guard: self.guard,
+            precond,
+            ..LockstepOptions::default()
+        };
+        let Ok(cols) = solve_lockstep(a, bs, xs, cfg, &opts);
+        cols.into_iter().map(|c| c.stats).collect()
+    }
+}
+
+/// A scalar solve as a width-1 panel of `solve_block`.
+fn one_column(
+    b: &[C64],
+    x: &mut [C64],
+    solve_block: impl FnOnce(&[&[C64]], &mut [Vec<C64>]) -> Vec<SolveStats>,
+) -> SolveStats {
+    let mut xs = vec![x.to_vec()];
+    let stats = solve_block(&[b], &mut xs);
+    x.copy_from_slice(&xs[0]);
+    stats.into_iter().next().expect("one column")
 }
 
 impl<G: BlockLinOp + ?Sized> ForwardBackend for BicgstabBackend<'_, G> {
     fn name(&self) -> &'static str {
         BackendChoice::Bicgstab.as_str()
     }
-    fn solve(&self, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats {
-        match self.guard {
-            None => solve_forward(self.g0, self.object, b, x, cfg),
-            Some(g) => {
-                let a = ScatteringOp::new(self.g0, self.object);
-                let mut xs = vec![x.to_vec()];
-                let stats = bicgstab_block_guarded(&a, &[b], &mut xs, cfg, g);
-                x.copy_from_slice(&xs[0]);
-                stats.into_iter().next().expect("one column")
-            }
-        }
-    }
-    fn solve_adjoint(&self, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats {
-        match self.guard {
-            None => solve_adjoint(self.g0, self.object, b, x, cfg),
-            Some(g) => {
-                let a = AdjointScatteringOp::new(self.g0, self.object);
-                let mut xs = vec![x.to_vec()];
-                let stats = bicgstab_block_guarded(&a, &[b], &mut xs, cfg, g);
-                x.copy_from_slice(&xs[0]);
-                stats.into_iter().next().expect("one column")
-            }
-        }
-    }
     fn solve_block(&self, bs: &[&[C64]], xs: &mut [Vec<C64>], cfg: IterConfig) -> Vec<SolveStats> {
-        match self.guard {
-            None => solve_forward_block(self.g0, self.object, bs, xs, cfg),
-            Some(g) => {
-                let a = ScatteringOp::new(self.g0, self.object);
-                bicgstab_block_guarded(&a, bs, xs, cfg, g)
-            }
-        }
+        let a = ScatteringOp::new(self.g0, self.object);
+        self.run(&a, self.precond.map(|(m, _)| m), bs, xs, cfg)
     }
     fn solve_adjoint_block(
         &self,
@@ -210,13 +225,8 @@ impl<G: BlockLinOp + ?Sized> ForwardBackend for BicgstabBackend<'_, G> {
         xs: &mut [Vec<C64>],
         cfg: IterConfig,
     ) -> Vec<SolveStats> {
-        match self.guard {
-            None => solve_adjoint_block(self.g0, self.object, bs, xs, cfg),
-            Some(g) => {
-                let a = AdjointScatteringOp::new(self.g0, self.object);
-                bicgstab_block_guarded(&a, bs, xs, cfg, g)
-            }
-        }
+        let a = AdjointScatteringOp::new(self.g0, self.object);
+        self.run(&a, self.precond.map(|(_, mh)| mh), bs, xs, cfg)
     }
 }
 
@@ -233,33 +243,46 @@ pub fn make_backend<'a, G: BlockLinOp + ?Sized>(
     object: &'a [C64],
     g0_norm: f64,
 ) -> Result<Box<dyn ForwardBackend + 'a>, BackendError> {
-    match choice {
-        BackendChoice::Bicgstab => Ok(Box::new(BicgstabBackend::new(g0, object))),
-        BackendChoice::BornSeries => Ok(Box::new(crate::bornseries::BornSeriesBackend::new(
-            g0, object, g0_norm,
-        )?)),
-    }
+    make_backend_with(choice, g0, object, g0_norm, None, None)
 }
 
-/// [`make_backend`] with a [`DriftGuard`] attached: both engines audit
-/// their recursive residual against the true `b - A x` every
-/// [`DriftGuard::period`] steps and at every would-be convergence, rolling
-/// back to the last verified iterate on divergence and escalating (column
-/// surfaced unconverged, guard counter bumped) once the rollback budget is
-/// spent. Clean solves are bit-identical to the unguarded backend's block
-/// path.
-pub fn make_backend_guarded<'a, G: BlockLinOp + ?Sized>(
+/// [`make_backend`] with optional attachments.
+///
+/// * `guard`: both engines audit their recursive residual against the true
+///   `b - A x` every [`DriftGuard::period`] steps and at every would-be
+///   convergence, rolling back to the last verified iterate on divergence
+///   and escalating (column surfaced unconverged, guard counter bumped)
+///   once the rollback budget is spent. Clean solves are bit-identical to
+///   the unguarded engine's.
+/// * `precond`: right preconditioners `(forward, adjoint)` for the Krylov
+///   engine (see [`BicgstabBackend::with_precond`]). The Born-series engine
+///   takes none.
+pub fn make_backend_with<'a, G: BlockLinOp + ?Sized>(
     choice: BackendChoice,
     g0: &'a G,
     object: &'a [C64],
     g0_norm: f64,
-    guard: &'a DriftGuard,
+    guard: Option<&'a DriftGuard>,
+    precond: Option<(&'a dyn Precond, &'a dyn Precond)>,
 ) -> Result<Box<dyn ForwardBackend + 'a>, BackendError> {
     match choice {
-        BackendChoice::Bicgstab => Ok(Box::new(BicgstabBackend::new(g0, object).with_guard(guard))),
-        BackendChoice::BornSeries => Ok(Box::new(
-            crate::bornseries::BornSeriesBackend::new(g0, object, g0_norm)?.with_guard(guard),
-        )),
+        BackendChoice::Bicgstab => {
+            let mut b = BicgstabBackend::new(g0, object);
+            b.guard = guard;
+            b.precond = precond;
+            Ok(Box::new(b))
+        }
+        BackendChoice::BornSeries => {
+            assert!(
+                precond.is_none(),
+                "right preconditioning is specific to the BiCGStab backend"
+            );
+            let b = crate::bornseries::BornSeriesBackend::new(g0, object, g0_norm)?;
+            Ok(Box::new(match guard {
+                Some(g) => b.with_guard(g),
+                None => b,
+            }))
+        }
     }
 }
 

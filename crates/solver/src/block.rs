@@ -1,158 +1,727 @@
-//! Batched BiCGStab: `B` independent systems sharing one operator, iterated
-//! in lockstep so every operator application is a fused block apply.
+//! The lockstep BiCGStab core: the one BiCGStab recurrence in the
+//! workspace, for every panel width, every place inner products are summed,
+//! and every option.
 //!
-//! The paper's first parallel dimension is independent illuminations; this
-//! solver is how the serial code exploits it. All `B` transmitter systems
-//! share `A = I - G0 diag(O)`, so each Krylov step needs the *same* operator
-//! applied to `B` different vectors — exactly what
+//! `B` independent systems share one operator and iterate in lockstep, so
+//! every operator application is one fused block apply. The paper's first
+//! parallel dimension is independent illuminations: all `B` transmitter
+//! systems share `A = I - G0 diag(O)`, so each Krylov step needs the *same*
+//! operator applied to `B` different vectors — exactly what
 //! [`BlockLinOp::apply_block`] fuses into one tree traversal.
 //!
-//! Numerics contract: each column runs the *identical* floating-point
-//! recurrence as the scalar [`crate::bicgstab`] — per-column scalars, per
-//! column inner products, same branch structure — so a column's trajectory
-//! (iterates, residuals, iteration count) is bit-identical to solving it
-//! alone, provided the operator's `apply_block` is column-wise identical to
-//! `apply` (true for the default loop implementation and for the MLFMA
-//! engine's fused panel path). Convergence masking: a column that converges
-//! (or breaks down) *freezes* — its iterate is never touched again and it is
-//! excluded from subsequent block applies — while the remaining columns keep
-//! iterating until all are done.
+//! Where the operator is applied and where inner products are summed is a
+//! [`KrylovContext`]. Every serial [`BlockLinOp`] is one, with an identity
+//! `reduce` and an [`Infallible`] error; `ffw-dist` implements it once over
+//! its sub-tree-partitioned operators, with `reduce` an allreduce among the
+//! group's ranks (paper Section IV) and a typed fault as the error. Each
+//! phase of an iteration packs the scalars of every active column into one
+//! `reduce` call, and norms are `sqrt(reduce(‖v‖²))`, which is bitwise
+//! `norm2(v)` under the identity reduce — so serial trajectories and
+//! distributed message counts are both exactly those of a hand-written
+//! solver of either kind.
+//!
+//! Numerics contract: each column runs its own recurrence — per-column
+//! scalars, per-column inner products, one branch structure — so a column's
+//! trajectory (iterates, residuals, iteration count) is bit-identical to
+//! solving it alone, provided the context's block apply is column-wise
+//! identical to a single apply (true for the default loop implementation,
+//! for the MLFMA engine's fused panel path, and for the distributed
+//! engine). Convergence masking: a column that converges (or breaks down)
+//! *freezes* — its iterate is never touched again and it is excluded from
+//! subsequent block applies — while the remaining columns keep iterating
+//! until all are done.
+//!
+//! The options ([`LockstepOptions`]) are the choices the entry points
+//! differ in: a [`DriftGuard`] auditing the recursive residual, a restart
+//! budget for rho/non-finite breakdowns (a broken column is retried by
+//! running the same recurrence on that column alone, from its last finite
+//! iterate), and a right preconditioner `M` applied as `p̂ = M p`,
+//! `ŝ = M s`.
 
 use crate::krylov::{finite_c, BreakdownKind, IterConfig, SolveError, SolveStats};
 use crate::op::BlockLinOp;
+use crate::precond::Precond;
 use crate::verify::DriftGuard;
-use ffw_numerics::vecops::{axpy, norm2, zdotc};
-use ffw_numerics::C64;
+use ffw_numerics::vecops::{axpy, norm2_sqr, zdotc};
+use ffw_numerics::{c64, C64};
+use std::convert::Infallible;
 
-/// Applies `a` to the selected columns of `input`, writing the matching
-/// columns of `output`, via one fused block apply.
-pub(crate) fn apply_cols<A: BlockLinOp + ?Sized>(
-    a: &A,
+/// Where the lockstep core applies its operator and sums its inner products.
+pub trait KrylovContext {
+    /// What a failed apply or reduction reports.
+    type Error;
+    /// `ys[c] = A xs[c]` for a panel of columns, as one fused apply.
+    fn try_apply_block(&self, xs: &[&[C64]], ys: &mut [Vec<C64>]) -> Result<(), Self::Error>;
+    /// Sums `vals` elementwise, in place, over every holder of a slice of
+    /// the solution vectors (the identity when one holder owns them whole).
+    fn reduce(&self, vals: &mut [C64]) -> Result<(), Self::Error>;
+}
+
+impl<A: BlockLinOp + ?Sized> KrylovContext for A {
+    type Error = Infallible;
+    fn try_apply_block(&self, xs: &[&[C64]], ys: &mut [Vec<C64>]) -> Result<(), Infallible> {
+        self.apply_block(xs, ys);
+        Ok(())
+    }
+    fn reduce(&self, _vals: &mut [C64]) -> Result<(), Infallible> {
+        Ok(())
+    }
+}
+
+/// The choices a lockstep solve takes. The default is the plain solve.
+#[derive(Clone, Copy, Default)]
+pub struct LockstepOptions<'a> {
+    /// Audits every column's recursive residual against the true `b - A x`
+    /// (see [`bicgstab_block_guarded`]).
+    pub guard: Option<&'a DriftGuard>,
+    /// Restarts allowed per column after a rho or non-finite breakdown. A
+    /// restart re-derives the residual and shadow residual from the last
+    /// finite iterate; the iteration budget is shared across restarts.
+    pub restarts: u32,
+    /// Right preconditioner `M`, applied to every column: the iterate
+    /// advances along `M p` and `M s`, while residuals stay true residuals
+    /// of `A x = b` (Templates, ch. 2.3.8).
+    pub precond: Option<&'a dyn Precond>,
+}
+
+/// One column's outcome of [`solve_lockstep`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct ColumnSolve {
+    /// The column's stats; `converged: false` after a breakdown, an
+    /// exhausted iteration budget or a drift escalation.
+    pub stats: SolveStats,
+    /// Why the column stopped early: a breakdown that survived the restart
+    /// budget, or [`BreakdownKind::Drift`] when the drift guard escalated.
+    pub breakdown: Option<BreakdownKind>,
+    /// Restarts attempted; for a drift escalation, rollbacks attempted.
+    pub restarts: u32,
+}
+
+impl ColumnSolve {
+    /// The column as a typed result: a breakdown becomes
+    /// [`SolveError::Breakdown`].
+    pub fn into_result(self) -> Result<SolveStats, SolveError> {
+        match self.breakdown {
+            None => Ok(self.stats),
+            Some(kind) => Err(SolveError::Breakdown {
+                kind,
+                iterations: self.stats.iterations,
+                matvecs: self.stats.matvecs,
+                rel_residual: self.stats.rel_residual,
+                restarts: self.restarts,
+            }),
+        }
+    }
+}
+
+/// Solves `A xs[c] = bs[c]` for all `B` columns with lockstep BiCGStab and
+/// per-column convergence masking, in the given context. Each `xs[c]`
+/// carries its initial guess (zero, or a warm start) and is overwritten
+/// with that column's solution.
+///
+/// A breakdown (rho underflow, NaN/Inf iterate) freezes *only* that
+/// column, with its iterate left at the last finite value, and — budget
+/// permitting — retries it alone afterwards; sibling columns are
+/// unaffected. A context error (a dead peer) aborts the whole solve.
+pub fn solve_lockstep<C: KrylovContext + ?Sized>(
+    ctx: &C,
+    bs: &[&[C64]],
+    xs: &mut [Vec<C64>],
+    cfg: IterConfig,
+    opts: &LockstepOptions,
+) -> Result<Vec<ColumnSolve>, C::Error> {
+    let nb = bs.len();
+    assert_eq!(xs.len(), nb, "solution block width mismatch");
+    if nb == 0 {
+        return Ok(Vec::new());
+    }
+    let n = bs[0].len();
+    for (b, x) in bs.iter().zip(xs.iter()) {
+        assert_eq!(b.len(), n, "ragged right-hand sides");
+        assert_eq!(x.len(), n, "ragged initial guesses");
+    }
+    let _span = ffw_obs::span("solver.bicgstab");
+    if ffw_obs::enabled() {
+        ffw_obs::histogram("solver.bicgstab.panel_width").record(nb as u64);
+    }
+
+    // One reduction for every column's ‖b‖. Zero right-hand sides are
+    // solved exactly by x = 0.
+    let mut b_sqr: Vec<C64> = bs.iter().map(|b| c64(norm2_sqr(b), 0.0)).collect();
+    ctx.reduce(&mut b_sqr)?;
+    let mut st: Vec<Col> = b_sqr.iter().map(|v| Col::new(v.re.sqrt())).collect();
+    let mut live = Vec::with_capacity(nb);
+    for (c, col) in st.iter_mut().enumerate() {
+        if col.b_norm == 0.0 {
+            xs[c].iter_mut().for_each(|v| *v = C64::ZERO);
+            col.end = End::Converged;
+        } else {
+            live.push(c);
+        }
+    }
+    cycle(ctx, bs, xs, &live, cfg, opts, &mut st)?;
+
+    // Broken columns restart one at a time from their last finite iterate.
+    // Every holder derives `end` from the same reduced scalars, so these
+    // cycles stay collective.
+    for c in live {
+        while let End::Broken(kind) = st[c].end {
+            let x_finite = xs[c].iter().all(|v| finite_c(*v));
+            if kind == BreakdownKind::Drift
+                || st[c].restarts >= opts.restarts
+                || st[c].iters >= cfg.max_iters
+                || !x_finite
+            {
+                break;
+            }
+            st[c].restarts += 1;
+            ffw_obs::event(
+                "solver.restart",
+                &format!(
+                    "bicgstab column {c}: restart {} after {kind} at iter {}",
+                    st[c].restarts, st[c].iters
+                ),
+            );
+            cycle(ctx, bs, xs, &[c], cfg, opts, &mut st)?;
+        }
+    }
+
+    let out: Vec<ColumnSolve> = st.into_iter().map(Col::finish).collect();
+    if ffw_obs::enabled() {
+        for col in &out {
+            ffw_obs::counter("solver.bicgstab.solves").inc();
+            ffw_obs::counter("solver.bicgstab.iters").add(col.stats.iterations as u64);
+            ffw_obs::counter("solver.bicgstab.matvecs").add(col.stats.matvecs as u64);
+            ffw_obs::histogram("solver.bicgstab.iters_per_solve")
+                .record(col.stats.iterations as u64);
+        }
+    }
+    Ok(out)
+}
+
+/// How a column's solve stands.
+#[derive(Clone, Copy, PartialEq)]
+enum End {
+    Running,
+    Converged,
+    OutOfBudget,
+    Broken(BreakdownKind),
+}
+
+/// Per-column bookkeeping that survives restarts.
+struct Col {
+    b_norm: f64,
+    iters: usize,
+    matvecs: usize,
+    verify_mv: usize,
+    rolled: usize,
+    rollbacks: u32,
+    restarts: u32,
+    /// Last finite relative residual (NaN if the first one was not finite).
+    res: f64,
+    end: End,
+}
+
+impl Col {
+    fn new(b_norm: f64) -> Self {
+        Col {
+            b_norm,
+            iters: 0,
+            matvecs: 0,
+            verify_mv: 0,
+            rolled: 0,
+            rollbacks: 0,
+            restarts: 0,
+            res: 0.0,
+            end: End::Running,
+        }
+    }
+
+    fn break_down(&mut self, c: usize, kind: BreakdownKind) {
+        ffw_obs::event(
+            "solver.breakdown",
+            &format!("bicgstab column {c}: {kind} at iter {}", self.iters),
+        );
+        self.end = End::Broken(kind);
+    }
+
+    fn finish(self) -> ColumnSolve {
+        let breakdown = match self.end {
+            End::Broken(kind) => Some(kind),
+            _ => None,
+        };
+        ColumnSolve {
+            stats: SolveStats {
+                iterations: self.iters,
+                matvecs: self.matvecs,
+                verify_matvecs: self.verify_mv,
+                rolled_back: self.rolled,
+                rel_residual: self.res,
+                converged: self.end == End::Converged,
+            },
+            restarts: if breakdown == Some(BreakdownKind::Drift) {
+                self.rollbacks
+            } else {
+                self.restarts
+            },
+            breakdown,
+        }
+    }
+}
+
+/// The recurrence scalars of one column.
+#[derive(Clone, Copy)]
+struct Scalars {
+    rho: C64,
+    alpha: C64,
+    omega: C64,
+}
+
+/// A column's recurrence at a verified top-of-loop state (the next action
+/// is the rho inner product), so a rolled-back column resumes the lockstep
+/// loop directly.
+struct Snap {
+    x: Vec<C64>,
+    r: Vec<C64>,
+    p: Vec<C64>,
+    v: Vec<C64>,
+    sc: Scalars,
+    res: f64,
+    iters: usize,
+    matvecs: usize,
+}
+
+/// One cycle's recurrence vectors, indexed by column (empty for columns
+/// outside the cycle; `ph`/`sh` hold `M p`/`M s` and stay empty without a
+/// preconditioner).
+struct Rec {
+    r: Vec<Vec<C64>>,
+    r_hat: Vec<Vec<C64>>,
+    p: Vec<Vec<C64>>,
+    v: Vec<Vec<C64>>,
+    s: Vec<Vec<C64>>,
+    t: Vec<Vec<C64>>,
+    ph: Vec<Vec<C64>>,
+    sh: Vec<Vec<C64>>,
+    x_prev: Vec<Vec<C64>>,
+    sc: Vec<Scalars>,
+    rho_new: Vec<C64>,
+    snaps: Vec<Option<Snap>>,
+}
+
+impl Rec {
+    fn new(nb: usize, n: usize, cols: &[usize], precond: bool) -> Self {
+        let zeros = |used: bool| {
+            let mut vs = vec![Vec::new(); nb];
+            if used {
+                for &c in cols {
+                    vs[c] = vec![C64::ZERO; n];
+                }
+            }
+            vs
+        };
+        let one = Scalars {
+            rho: C64::ONE,
+            alpha: C64::ONE,
+            omega: C64::ONE,
+        };
+        Rec {
+            r: zeros(true),
+            r_hat: vec![Vec::new(); nb],
+            p: zeros(true),
+            v: zeros(true),
+            s: zeros(true),
+            t: zeros(true),
+            ph: zeros(precond),
+            sh: zeros(precond),
+            x_prev: zeros(true),
+            sc: vec![one; nb],
+            rho_new: vec![C64::ZERO; nb],
+            snaps: (0..nb).map(|_| None).collect(),
+        }
+    }
+
+    fn snapshot(&mut self, c: usize, x: &[C64], col: &Col) {
+        self.snaps[c] = Some(Snap {
+            x: x.to_vec(),
+            r: self.r[c].clone(),
+            p: self.p[c].clone(),
+            v: self.v[c].clone(),
+            sc: self.sc[c],
+            res: col.res,
+            iters: col.iters,
+            matvecs: col.matvecs,
+        });
+    }
+
+    /// Restores column `c` to its last verified snapshot after a failed
+    /// audit. Applies spent on the discarded segment move from `matvecs` to
+    /// `verify_matvecs`; the discarded steps are counted in `rolled_back`.
+    /// Returns `true` if the column may replay (rollback budget left),
+    /// `false` if the guard escalated — the column then stays frozen at the
+    /// restored, last verified iterate.
+    fn roll_back(&mut self, g: &DriftGuard, c: usize, x: &mut [C64], col: &mut Col) -> bool {
+        let snap = self.snaps[c]
+            .as_ref()
+            .expect("guarded columns have a snapshot");
+        g.record_detected();
+        let steps = col.iters - snap.iters;
+        col.verify_mv += col.matvecs - snap.matvecs;
+        col.rolled += steps;
+        x.copy_from_slice(&snap.x);
+        self.r[c].copy_from_slice(&snap.r);
+        self.p[c].copy_from_slice(&snap.p);
+        self.v[c].copy_from_slice(&snap.v);
+        self.sc[c] = snap.sc;
+        col.res = snap.res;
+        col.iters = snap.iters;
+        col.matvecs = snap.matvecs;
+        if col.rollbacks < g.max_rollbacks {
+            col.rollbacks += 1;
+            g.record_rollback(steps as u64);
+            true
+        } else {
+            g.record_escalated();
+            ffw_obs::event(
+                "solver.breakdown",
+                &format!(
+                    "bicgstab column {c}: residual drift persisted through {} rollback(s); \
+                     surfacing unconverged",
+                    col.rollbacks
+                ),
+            );
+            col.end = End::Broken(BreakdownKind::Drift);
+            false
+        }
+    }
+}
+
+/// `[‖vs[c]‖²]` over `cols`, packed for one reduction.
+fn norms_sqr(cols: &[usize], vs: &[Vec<C64>]) -> Vec<C64> {
+    cols.iter().map(|&c| c64(norm2_sqr(&vs[c]), 0.0)).collect()
+}
+
+/// One BiCGStab cycle over `cols`: fresh residuals from the current
+/// iterates, then lockstep iterations until every column converged, ran
+/// out of budget or broke down.
+fn cycle<C: KrylovContext + ?Sized>(
+    ctx: &C,
+    bs: &[&[C64]],
+    xs: &mut [Vec<C64>],
+    cols: &[usize],
+    cfg: IterConfig,
+    opts: &LockstepOptions,
+    st: &mut [Col],
+) -> Result<(), C::Error> {
+    if cols.is_empty() {
+        return Ok(());
+    }
+    let n = bs[0].len();
+    let pre = opts.precond;
+    let mut rec = Rec::new(bs.len(), n, cols, pre.is_some());
+
+    // r = b - A x, one fused apply.
+    apply_cols(ctx, cols, xs, &mut rec.r)?;
+    for &c in cols {
+        st[c].matvecs += 1;
+        st[c].end = End::Running;
+        for (ri, bi) in rec.r[c].iter_mut().zip(bs[c]) {
+            *ri = *bi - *ri;
+        }
+        rec.r_hat[c] = rec.r[c].clone();
+    }
+    let mut sq = norms_sqr(cols, &rec.r);
+    ctx.reduce(&mut sq)?;
+    let mut active = Vec::with_capacity(cols.len());
+    for (k, &c) in cols.iter().enumerate() {
+        let res = sq[k].re.sqrt() / st[c].b_norm;
+        if !res.is_finite() {
+            st[c].res = f64::NAN;
+            st[c].break_down(c, BreakdownKind::NonFinite);
+            continue;
+        }
+        st[c].res = res;
+        ffw_obs::series_push("solver.bicgstab.residual", res);
+        if res < cfg.tol {
+            st[c].end = End::Converged;
+            continue;
+        }
+        if opts.guard.is_some() {
+            // The fresh residual *is* the true residual, so the cycle start
+            // is verified by construction and is the rollback target until
+            // the first periodic audit passes.
+            rec.snapshot(c, &xs[c], &st[c]);
+        }
+        active.push(c);
+    }
+
+    while !active.is_empty() {
+        // Columns rolled back mid-pass re-enter the lockstep loop here.
+        let mut resumed: Vec<usize> = Vec::new();
+        'pass: {
+            active.retain(|&c| {
+                let spent = st[c].iters >= cfg.max_iters;
+                if spent {
+                    st[c].end = End::OutOfBudget;
+                }
+                !spent
+            });
+            if active.is_empty() {
+                break 'pass;
+            }
+
+            // Phase 1: rho = <r_hat, r>; p = r + beta (p - omega v).
+            let mut dots: Vec<C64> = active
+                .iter()
+                .map(|&c| zdotc(&rec.r_hat[c], &rec.r[c]))
+                .collect();
+            ctx.reduce(&mut dots)?;
+            let mut next = Vec::with_capacity(active.len());
+            for (k, &c) in active.iter().enumerate() {
+                let rho_new = dots[k];
+                if !finite_c(rho_new) {
+                    st[c].break_down(c, BreakdownKind::NonFinite);
+                    continue;
+                }
+                if rho_new.abs() < 1e-300 {
+                    st[c].break_down(c, BreakdownKind::RhoZero);
+                    continue;
+                }
+                st[c].iters += 1;
+                let Scalars { rho, alpha, omega } = rec.sc[c];
+                let beta = (rho_new / rho) * (alpha / omega);
+                let (p, r, v) = (&mut rec.p[c], &rec.r[c], &rec.v[c]);
+                for i in 0..n {
+                    p[i] = r[i] + beta * (p[i] - omega * v[i]);
+                }
+                rec.rho_new[c] = rho_new;
+                next.push(c);
+            }
+            active = next;
+            if active.is_empty() {
+                break 'pass;
+            }
+
+            // Phase 2: v = A M p; alpha; s = r - alpha v; the early s exit.
+            if let Some(m) = pre {
+                for &c in &active {
+                    m.apply(&rec.p[c], &mut rec.ph[c]);
+                }
+            }
+            let dir = if pre.is_some() { &rec.ph } else { &rec.p };
+            apply_cols(ctx, &active, dir, &mut rec.v)?;
+            let mut dots: Vec<C64> = active
+                .iter()
+                .map(|&c| zdotc(&rec.r_hat[c], &rec.v[c]))
+                .collect();
+            ctx.reduce(&mut dots)?;
+            for (k, &c) in active.iter().enumerate() {
+                st[c].matvecs += 1;
+                let alpha = rec.rho_new[c] / dots[k];
+                rec.sc[c].alpha = alpha;
+                let (s, r, v) = (&mut rec.s[c], &rec.r[c], &rec.v[c]);
+                for i in 0..n {
+                    s[i] = r[i] - alpha * v[i];
+                }
+            }
+            let mut sq = norms_sqr(&active, &rec.s);
+            ctx.reduce(&mut sq)?;
+            let mut next = Vec::with_capacity(active.len());
+            for (k, &c) in active.iter().enumerate() {
+                let s_norm = sq[k].re.sqrt() / st[c].b_norm;
+                if s_norm < cfg.tol {
+                    let dir = if pre.is_some() { &rec.ph[c] } else { &rec.p[c] };
+                    axpy(rec.sc[c].alpha, dir, &mut xs[c]);
+                    if let Some(g) = opts.guard {
+                        // Audit the would-be convergence: the recursive
+                        // residual here is `s`, the candidate x + alpha p̂.
+                        if !audit(ctx, g, bs[c], &xs[c], &rec.s[c], &mut st[c])? {
+                            if rec.roll_back(g, c, &mut xs[c], &mut st[c]) {
+                                resumed.push(c);
+                            }
+                            continue;
+                        }
+                    }
+                    ffw_obs::series_push("solver.bicgstab.residual", s_norm);
+                    st[c].res = s_norm;
+                    st[c].end = End::Converged;
+                    continue;
+                }
+                next.push(c);
+            }
+            active = next;
+            if active.is_empty() {
+                break 'pass;
+            }
+
+            // Phase 3: t = A M s; omega; the x and r updates.
+            if let Some(m) = pre {
+                for &c in &active {
+                    m.apply(&rec.s[c], &mut rec.sh[c]);
+                }
+            }
+            let dir = if pre.is_some() { &rec.sh } else { &rec.s };
+            apply_cols(ctx, &active, dir, &mut rec.t)?;
+            let mut dots: Vec<C64> = Vec::with_capacity(2 * active.len());
+            for &c in &active {
+                dots.push(zdotc(&rec.t[c], &rec.s[c]));
+                dots.push(zdotc(&rec.t[c], &rec.t[c]));
+            }
+            ctx.reduce(&mut dots)?;
+            for (k, &c) in active.iter().enumerate() {
+                st[c].matvecs += 1;
+                let omega = dots[2 * k] / dots[2 * k + 1];
+                rec.sc[c].omega = omega;
+                let alpha = rec.sc[c].alpha;
+                // Snapshot x first so a non-finite update rolls back instead
+                // of poisoning the iterate: NaN fails every `<` test, so an
+                // unchecked loop would run to max_iters and report a NaN x.
+                rec.x_prev[c].copy_from_slice(&xs[c]);
+                let (pd, sd) = if pre.is_some() {
+                    (&rec.ph[c], &rec.sh[c])
+                } else {
+                    (&rec.p[c], &rec.s[c])
+                };
+                let (x, r, s, t) = (&mut xs[c], &mut rec.r[c], &rec.s[c], &rec.t[c]);
+                for i in 0..n {
+                    x[i] += alpha * pd[i] + omega * sd[i];
+                    r[i] = s[i] - omega * t[i];
+                }
+            }
+            let mut sq = norms_sqr(&active, &rec.r);
+            ctx.reduce(&mut sq)?;
+            let mut next = Vec::with_capacity(active.len());
+            for (k, &c) in active.iter().enumerate() {
+                let res = sq[k].re.sqrt() / st[c].b_norm;
+                if !res.is_finite() {
+                    // The rolled-back iterate does not contain this step's
+                    // update, so the step is not counted (`SolveStats`:
+                    // iterations = update steps reflected in the iterate).
+                    xs[c].copy_from_slice(&rec.x_prev[c]);
+                    st[c].iters -= 1;
+                    st[c].break_down(c, BreakdownKind::NonFinite);
+                    continue;
+                }
+                st[c].res = res;
+                ffw_obs::series_push("solver.bicgstab.residual", res);
+                let converged = res < cfg.tol;
+                if !converged {
+                    rec.sc[c].rho = rec.rho_new[c];
+                }
+                if let Some(g) = opts.guard {
+                    // Audit every would-be convergence and, periodically, a
+                    // top-of-loop state: a pass there refreshes the rollback
+                    // snapshot, a failure rolls back (or escalates).
+                    if converged || st[c].iters.is_multiple_of(g.period) {
+                        if !audit(ctx, g, bs[c], &xs[c], &rec.r[c], &mut st[c])? {
+                            if rec.roll_back(g, c, &mut xs[c], &mut st[c]) {
+                                resumed.push(c);
+                            }
+                            continue;
+                        }
+                        if !converged {
+                            rec.snapshot(c, &xs[c], &st[c]);
+                        }
+                    }
+                }
+                if converged {
+                    st[c].end = End::Converged;
+                } else {
+                    next.push(c);
+                }
+            }
+            active = next;
+        }
+        if !resumed.is_empty() {
+            active.extend(resumed);
+            active.sort_unstable();
+        }
+    }
+    Ok(())
+}
+
+/// Applies the context's operator to the selected columns of `input`,
+/// writing the matching columns of `output`, via one fused block apply.
+pub(crate) fn apply_cols<C: KrylovContext + ?Sized>(
+    ctx: &C,
     cols: &[usize],
     input: &[Vec<C64>],
     output: &mut [Vec<C64>],
-) {
+) -> Result<(), C::Error> {
     if cols.is_empty() {
-        return;
+        return Ok(());
     }
     let xs: Vec<&[C64]> = cols.iter().map(|&c| input[c].as_slice()).collect();
     let mut ys: Vec<Vec<C64>> = cols
         .iter()
         .map(|&c| std::mem::take(&mut output[c]))
         .collect();
-    a.apply_block(&xs, &mut ys);
+    let applied = ctx.try_apply_block(&xs, &mut ys);
     for (&c, y) in cols.iter().zip(ys) {
         output[c] = y;
     }
-}
-
-/// A per-column recurrence snapshot taken at a passed drift audit. Every
-/// snapshot is a *top-of-loop* state (the next action is the rho inner
-/// product), so a rolled-back column resumes the lockstep loop directly.
-struct ColSnap {
-    x: Vec<C64>,
-    r: Vec<C64>,
-    p: Vec<C64>,
-    v: Vec<C64>,
-    rho: C64,
-    alpha: C64,
-    omega: C64,
-    res: f64,
-    iters: usize,
-    matvecs: usize,
+    applied
 }
 
 /// `‖r_rec - (b - A x)‖ / ‖b‖`: how far the recursive residual has drifted
-/// from the truth. One extra operator apply (charged to `verify_matvecs`).
-pub(crate) fn residual_drift<A: BlockLinOp + ?Sized>(
-    a: &A,
+/// from the truth. One extra operator apply and one scalar reduction.
+pub(crate) fn residual_drift<C: KrylovContext + ?Sized>(
+    ctx: &C,
     b: &[C64],
     x: &[C64],
     r_rec: &[C64],
     b_norm: f64,
-) -> f64 {
-    let n = b.len();
-    let mut r_true = vec![C64::ZERO; n];
-    a.apply(x, &mut r_true);
+) -> Result<f64, C::Error> {
+    let mut r_true = vec![vec![C64::ZERO; b.len()]];
+    ctx.try_apply_block(&[x], &mut r_true)?;
     let mut diff2 = 0.0f64;
-    for i in 0..n {
-        let d = r_rec[i] - (b[i] - r_true[i]);
-        diff2 += d.norm_sqr();
+    for ((rr, bi), ti) in r_rec.iter().zip(b).zip(&r_true[0]) {
+        diff2 += (*rr - (*bi - *ti)).norm_sqr();
     }
-    diff2.sqrt() / b_norm
+    let mut d = [c64(diff2, 0.0)];
+    ctx.reduce(&mut d)?;
+    Ok(d[0].re.sqrt() / b_norm)
 }
 
-/// Restores column `c` to its last verified snapshot after a failed audit.
-/// Applies spent on the discarded segment move from `matvecs` to
-/// `verify_matvecs`; the discarded steps are counted in `rolled`. Returns
-/// `true` if the column may replay (rollback budget left), `false` if the
-/// guard escalated (caller freezes the column unconverged at the restored —
-/// last verified — iterate).
-#[allow(clippy::too_many_arguments)]
-fn guard_recover(
+/// One drift audit of column `col`: `true` when the recursive residual
+/// `r_rec` agrees with the true residual within the guard's tolerance. The
+/// audit apply is charged to `verify_matvecs`.
+fn audit<C: KrylovContext + ?Sized>(
+    ctx: &C,
     g: &DriftGuard,
-    c: usize,
-    snap: &ColSnap,
-    x: &mut [C64],
-    r: &mut [C64],
-    p: &mut [C64],
-    v: &mut [C64],
-    rho: &mut C64,
-    alpha: &mut C64,
-    omega: &mut C64,
-    res: &mut f64,
-    iters: &mut usize,
-    matvecs: &mut usize,
-    verify_mv: &mut usize,
-    rolled: &mut usize,
-    rollbacks: &mut u32,
-) -> bool {
-    g.record_detected();
-    let steps = *iters - snap.iters;
-    *verify_mv += *matvecs - snap.matvecs;
-    *rolled += steps;
-    x.copy_from_slice(&snap.x);
-    r.copy_from_slice(&snap.r);
-    p.copy_from_slice(&snap.p);
-    v.copy_from_slice(&snap.v);
-    *rho = snap.rho;
-    *alpha = snap.alpha;
-    *omega = snap.omega;
-    *res = snap.res;
-    *iters = snap.iters;
-    *matvecs = snap.matvecs;
-    if *rollbacks < g.max_rollbacks {
-        *rollbacks += 1;
-        g.record_rollback(steps as u64);
-        true
-    } else {
-        g.record_escalated();
-        ffw_obs::event(
-            "solver.breakdown",
-            &format!(
-                "bicgstab_block column {c}: residual drift persisted through \
-                 {rollbacks} rollback(s); surfacing unconverged"
-            ),
-        );
-        false
-    }
+    b: &[C64],
+    x: &[C64],
+    r_rec: &[C64],
+    col: &mut Col,
+) -> Result<bool, C::Error> {
+    col.verify_mv += 1;
+    let drift = residual_drift(ctx, b, x, r_rec, col.b_norm)?;
+    Ok(drift.is_finite() && drift <= g.rel_tol)
 }
 
-/// Solves `A xs[c] = bs[c]` for all `B` columns with lockstep BiCGStab and
-/// per-column convergence masking. Each `xs[c]` carries its initial guess
-/// (zero, or a warm start) and is overwritten with that column's solution.
-///
-/// Per-column semantics match the scalar [`crate::bicgstab`] exactly: a
-/// breakdown (rho underflow, NaN/Inf iterate) freezes *only* that column,
-/// which reports honest unconverged [`SolveStats`] with its iterate left at
-/// the last finite value; sibling columns are unaffected and keep iterating.
+/// The stats of a serial lockstep solve.
+fn serial_stats<A: BlockLinOp + ?Sized>(
+    a: &A,
+    bs: &[&[C64]],
+    xs: &mut [Vec<C64>],
+    cfg: IterConfig,
+    opts: &LockstepOptions,
+) -> Vec<SolveStats> {
+    let Ok(cols) = solve_lockstep(a, bs, xs, cfg, opts);
+    cols.into_iter().map(|c| c.stats).collect()
+}
+
+/// Solves `A xs[c] = bs[c]` for all `B` columns with lockstep BiCGStab (see
+/// [`solve_lockstep`]). A breakdown freezes only that column, which reports
+/// honest unconverged [`SolveStats`] with its iterate left at the last
+/// finite value; sibling columns keep iterating.
 pub fn bicgstab_block<A: BlockLinOp + ?Sized>(
     a: &A,
     bs: &[&[C64]],
     xs: &mut [Vec<C64>],
     cfg: IterConfig,
 ) -> Vec<SolveStats> {
-    bicgstab_block_impl(a, bs, xs, cfg, None)
+    serial_stats(a, bs, xs, cfg, &LockstepOptions::default())
 }
 
 /// [`bicgstab_block`] with a [`DriftGuard`] auditing every column: the true
@@ -177,13 +746,17 @@ pub fn bicgstab_block_guarded<A: BlockLinOp + ?Sized>(
     cfg: IterConfig,
     guard: &DriftGuard,
 ) -> Vec<SolveStats> {
-    bicgstab_block_impl(a, bs, xs, cfg, Some(guard))
+    let opts = LockstepOptions {
+        guard: Some(guard),
+        ..LockstepOptions::default()
+    };
+    serial_stats(a, bs, xs, cfg, &opts)
 }
 
-/// Scalar guarded BiCGStab: a width-1 [`bicgstab_block_guarded`] (the block
-/// solver's columns are bit-identical to scalar solves), with drift
-/// escalation surfaced as a typed [`SolveError::Breakdown`] of kind
-/// [`BreakdownKind::Drift`] instead of a counter the caller must poll.
+/// Scalar guarded BiCGStab: a width-1 [`bicgstab_block_guarded`], with a
+/// drift escalation (or a breakdown) surfaced as a typed
+/// [`SolveError::Breakdown`] — kind [`BreakdownKind::Drift`] for
+/// escalation — instead of a counter the caller must poll.
 pub fn bicgstab_guarded<A: BlockLinOp + ?Sized>(
     a: &A,
     b: &[C64],
@@ -191,443 +764,14 @@ pub fn bicgstab_guarded<A: BlockLinOp + ?Sized>(
     cfg: IterConfig,
     guard: &DriftGuard,
 ) -> Result<SolveStats, SolveError> {
-    let escalated_before = guard.escalated();
-    let mut xs = vec![x.to_vec()];
-    let stats = bicgstab_block_impl(a, &[b], &mut xs, cfg, Some(guard))
-        .pop()
-        .expect("one column");
-    x.copy_from_slice(&xs[0]);
-    if guard.escalated() > escalated_before {
-        return Err(SolveError::Breakdown {
-            kind: BreakdownKind::Drift,
-            iterations: stats.iterations,
-            matvecs: stats.matvecs,
-            rel_residual: stats.rel_residual,
-            restarts: guard.max_rollbacks,
-        });
-    }
-    Ok(stats)
-}
-
-fn bicgstab_block_impl<A: BlockLinOp + ?Sized>(
-    a: &A,
-    bs: &[&[C64]],
-    xs: &mut [Vec<C64>],
-    cfg: IterConfig,
-    guard: Option<&DriftGuard>,
-) -> Vec<SolveStats> {
-    let nb = bs.len();
-    assert_eq!(xs.len(), nb, "solution block width mismatch");
-    if nb == 0 {
-        return Vec::new();
-    }
-    let n = a.dim_in();
-    assert_eq!(a.dim_out(), n);
-    for (b, x) in bs.iter().zip(xs.iter()) {
-        assert_eq!(b.len(), n);
-        assert_eq!(x.len(), n);
-    }
-    let _span = ffw_obs::span("solver.bicgstab");
-    if ffw_obs::enabled() {
-        ffw_obs::histogram("solver.bicgstab.panel_width").record(nb as u64);
-    }
-
-    let mut stats: Vec<Option<SolveStats>> = vec![None; nb];
-    let mut b_norm = vec![0.0f64; nb];
-    let mut iters = vec![0usize; nb];
-    let mut matvecs = vec![0usize; nb];
-    let mut res = vec![0.0f64; nb];
-    let mut rho = vec![C64::ONE; nb];
-    let mut alpha = vec![C64::ONE; nb];
-    let mut omega = vec![C64::ONE; nb];
-    let mut rho_new = vec![C64::ZERO; nb];
-    let mut r: Vec<Vec<C64>> = vec![vec![C64::ZERO; n]; nb];
-    let mut r_hat: Vec<Vec<C64>> = vec![Vec::new(); nb];
-    let mut v: Vec<Vec<C64>> = vec![vec![C64::ZERO; n]; nb];
-    let mut p: Vec<Vec<C64>> = vec![vec![C64::ZERO; n]; nb];
-    let mut s: Vec<Vec<C64>> = vec![vec![C64::ZERO; n]; nb];
-    let mut t: Vec<Vec<C64>> = vec![vec![C64::ZERO; n]; nb];
-    let mut x_prev = vec![C64::ZERO; n];
-
-    // Drift-guard bookkeeping (all zeros / unused when `guard` is None).
-    let mut verify_mv = vec![0usize; nb];
-    let mut rolled = vec![0usize; nb];
-    let mut rollbacks = vec![0u32; nb];
-    let mut snaps: Vec<Option<ColSnap>> = (0..nb).map(|_| None).collect();
-
-    let freeze_breakdown = |c: usize,
-                            kind: BreakdownKind,
-                            iters: usize,
-                            matvecs: usize,
-                            verify_matvecs: usize,
-                            rolled_back: usize,
-                            last_res: f64|
-     -> SolveStats {
-        ffw_obs::event(
-            "solver.breakdown",
-            &format!("bicgstab_block column {c}: {kind} at iter {iters}"),
-        );
-        SolveStats {
-            verify_matvecs,
-            rolled_back,
-            iterations: iters,
-            matvecs,
-            rel_residual: last_res,
-            converged: false,
-        }
+    let opts = LockstepOptions {
+        guard: Some(guard),
+        ..LockstepOptions::default()
     };
-
-    // Zero right-hand sides are solved exactly by x = 0 (scalar semantics).
-    let mut live: Vec<usize> = Vec::with_capacity(nb);
-    for c in 0..nb {
-        b_norm[c] = norm2(bs[c]);
-        if b_norm[c] == 0.0 {
-            xs[c].iter_mut().for_each(|v| *v = C64::ZERO);
-            stats[c] = Some(SolveStats {
-                verify_matvecs: 0,
-                rolled_back: 0,
-                iterations: 0,
-                matvecs: 0,
-                rel_residual: 0.0,
-                converged: true,
-            });
-        } else {
-            live.push(c);
-        }
-    }
-
-    // Fresh residuals r = b - A x, one fused apply over all live columns.
-    apply_cols(a, &live, xs, &mut r);
-    let mut active: Vec<usize> = Vec::with_capacity(live.len());
-    for &c in &live {
-        matvecs[c] += 1;
-        for i in 0..n {
-            r[c][i] = bs[c][i] - r[c][i];
-        }
-        r_hat[c] = r[c].clone();
-        res[c] = norm2(&r[c]) / b_norm[c];
-        if !res[c].is_finite() {
-            stats[c] = Some(freeze_breakdown(
-                c,
-                BreakdownKind::NonFinite,
-                0,
-                matvecs[c],
-                0,
-                0,
-                f64::NAN,
-            ));
-            continue;
-        }
-        ffw_obs::series_push("solver.bicgstab.residual", res[c]);
-        if res[c] < cfg.tol {
-            stats[c] = Some(SolveStats {
-                verify_matvecs: 0,
-                rolled_back: 0,
-                iterations: 0,
-                matvecs: matvecs[c],
-                rel_residual: res[c],
-                converged: true,
-            });
-            continue;
-        }
-        if guard.is_some() {
-            // Baseline snapshot: the fresh residual *is* the true residual,
-            // so the cycle-start state is verified by construction and is
-            // the rollback target until the first periodic audit passes.
-            snaps[c] = Some(ColSnap {
-                x: xs[c].clone(),
-                r: r[c].clone(),
-                p: p[c].clone(),
-                v: v[c].clone(),
-                rho: rho[c],
-                alpha: alpha[c],
-                omega: omega[c],
-                res: res[c],
-                iters: iters[c],
-                matvecs: matvecs[c],
-            });
-        }
-        active.push(c);
-    }
-
-    while !active.is_empty() {
-        // Columns rolled back mid-pass re-enter the lockstep loop here.
-        let mut resumed: Vec<usize> = Vec::new();
-        // Budget + rho checks; columns freezing here skip the fused applies.
-        let mut after_rho = Vec::with_capacity(active.len());
-        for &c in &active {
-            if iters[c] >= cfg.max_iters {
-                stats[c] = Some(SolveStats {
-                    verify_matvecs: verify_mv[c],
-                    rolled_back: rolled[c],
-                    iterations: iters[c],
-                    matvecs: matvecs[c],
-                    rel_residual: res[c],
-                    converged: false,
-                });
-                continue;
-            }
-            let rn = zdotc(&r_hat[c], &r[c]);
-            if !finite_c(rn) {
-                stats[c] = Some(freeze_breakdown(
-                    c,
-                    BreakdownKind::NonFinite,
-                    iters[c],
-                    matvecs[c],
-                    verify_mv[c],
-                    rolled[c],
-                    res[c],
-                ));
-                continue;
-            }
-            if rn.abs() < 1e-300 {
-                stats[c] = Some(freeze_breakdown(
-                    c,
-                    BreakdownKind::RhoZero,
-                    iters[c],
-                    matvecs[c],
-                    verify_mv[c],
-                    rolled[c],
-                    res[c],
-                ));
-                continue;
-            }
-            rho_new[c] = rn;
-            iters[c] += 1;
-            let beta = (rn / rho[c]) * (alpha[c] / omega[c]);
-            for i in 0..n {
-                p[c][i] = r[c][i] + beta * (p[c][i] - omega[c] * v[c][i]);
-            }
-            after_rho.push(c);
-        }
-        active = after_rho;
-
-        // v = A p, fused.
-        apply_cols(a, &active, &p, &mut v);
-        let mut after_s = Vec::with_capacity(active.len());
-        for &c in &active {
-            matvecs[c] += 1;
-            alpha[c] = rho_new[c] / zdotc(&r_hat[c], &v[c]);
-            for i in 0..n {
-                s[c][i] = r[c][i] - alpha[c] * v[c][i];
-            }
-            let s_norm = norm2(&s[c]) / b_norm[c];
-            if s_norm < cfg.tol {
-                axpy(alpha[c], &p[c], &mut xs[c]);
-                if let Some(g) = guard {
-                    // Audit the would-be convergence: the recursive residual
-                    // here is `s` and the candidate iterate is x + alpha p.
-                    verify_mv[c] += 1;
-                    let drift = residual_drift(a, bs[c], &xs[c], &s[c], b_norm[c]);
-                    if !(drift.is_finite() && drift <= g.rel_tol) {
-                        let snap = snaps[c].as_ref().expect("guarded columns have a snapshot");
-                        if guard_recover(
-                            g,
-                            c,
-                            snap,
-                            &mut xs[c],
-                            &mut r[c],
-                            &mut p[c],
-                            &mut v[c],
-                            &mut rho[c],
-                            &mut alpha[c],
-                            &mut omega[c],
-                            &mut res[c],
-                            &mut iters[c],
-                            &mut matvecs[c],
-                            &mut verify_mv[c],
-                            &mut rolled[c],
-                            &mut rollbacks[c],
-                        ) {
-                            resumed.push(c);
-                        } else {
-                            stats[c] = Some(SolveStats {
-                                verify_matvecs: verify_mv[c],
-                                rolled_back: rolled[c],
-                                iterations: iters[c],
-                                matvecs: matvecs[c],
-                                rel_residual: res[c],
-                                converged: false,
-                            });
-                        }
-                        continue;
-                    }
-                }
-                ffw_obs::series_push("solver.bicgstab.residual", s_norm);
-                stats[c] = Some(SolveStats {
-                    verify_matvecs: verify_mv[c],
-                    rolled_back: rolled[c],
-                    iterations: iters[c],
-                    matvecs: matvecs[c],
-                    rel_residual: s_norm,
-                    converged: true,
-                });
-                continue;
-            }
-            after_s.push(c);
-        }
-        active = after_s;
-
-        // t = A s, fused.
-        apply_cols(a, &active, &s, &mut t);
-        let mut after_update = Vec::with_capacity(active.len());
-        for &c in &active {
-            matvecs[c] += 1;
-            let tt = zdotc(&t[c], &t[c]);
-            omega[c] = zdotc(&t[c], &s[c]) / tt;
-            // Snapshot x first so a non-finite update rolls back instead of
-            // poisoning the iterate (same contract as the scalar cycle).
-            x_prev.copy_from_slice(&xs[c]);
-            for i in 0..n {
-                xs[c][i] += alpha[c] * p[c][i] + omega[c] * s[c][i];
-                r[c][i] = s[c][i] - omega[c] * t[c][i];
-            }
-            let res_new = norm2(&r[c]) / b_norm[c];
-            if !res_new.is_finite() {
-                // The rolled-back iterate does not contain this step's
-                // update, so the step is not counted (`SolveStats` contract:
-                // iterations = update steps reflected in the iterate).
-                xs[c].copy_from_slice(&x_prev);
-                iters[c] -= 1;
-                stats[c] = Some(freeze_breakdown(
-                    c,
-                    BreakdownKind::NonFinite,
-                    iters[c],
-                    matvecs[c],
-                    verify_mv[c],
-                    rolled[c],
-                    res[c],
-                ));
-                continue;
-            }
-            res[c] = res_new;
-            ffw_obs::series_push("solver.bicgstab.residual", res_new);
-            if res_new < cfg.tol {
-                if let Some(g) = guard {
-                    verify_mv[c] += 1;
-                    let drift = residual_drift(a, bs[c], &xs[c], &r[c], b_norm[c]);
-                    if !(drift.is_finite() && drift <= g.rel_tol) {
-                        let snap = snaps[c].as_ref().expect("guarded columns have a snapshot");
-                        if guard_recover(
-                            g,
-                            c,
-                            snap,
-                            &mut xs[c],
-                            &mut r[c],
-                            &mut p[c],
-                            &mut v[c],
-                            &mut rho[c],
-                            &mut alpha[c],
-                            &mut omega[c],
-                            &mut res[c],
-                            &mut iters[c],
-                            &mut matvecs[c],
-                            &mut verify_mv[c],
-                            &mut rolled[c],
-                            &mut rollbacks[c],
-                        ) {
-                            resumed.push(c);
-                        } else {
-                            stats[c] = Some(SolveStats {
-                                verify_matvecs: verify_mv[c],
-                                rolled_back: rolled[c],
-                                iterations: iters[c],
-                                matvecs: matvecs[c],
-                                rel_residual: res[c],
-                                converged: false,
-                            });
-                        }
-                        continue;
-                    }
-                }
-                stats[c] = Some(SolveStats {
-                    verify_matvecs: verify_mv[c],
-                    rolled_back: rolled[c],
-                    iterations: iters[c],
-                    matvecs: matvecs[c],
-                    rel_residual: res_new,
-                    converged: true,
-                });
-                continue;
-            }
-            rho[c] = rho_new[c];
-            if let Some(g) = guard {
-                if iters[c].is_multiple_of(g.period) {
-                    // Periodic audit at a top-of-loop state: pass refreshes
-                    // the rollback snapshot, failure rolls back (or, with
-                    // the budget exhausted, escalates and freezes).
-                    verify_mv[c] += 1;
-                    let drift = residual_drift(a, bs[c], &xs[c], &r[c], b_norm[c]);
-                    if drift.is_finite() && drift <= g.rel_tol {
-                        snaps[c] = Some(ColSnap {
-                            x: xs[c].clone(),
-                            r: r[c].clone(),
-                            p: p[c].clone(),
-                            v: v[c].clone(),
-                            rho: rho[c],
-                            alpha: alpha[c],
-                            omega: omega[c],
-                            res: res[c],
-                            iters: iters[c],
-                            matvecs: matvecs[c],
-                        });
-                    } else {
-                        let snap = snaps[c].as_ref().expect("guarded columns have a snapshot");
-                        if guard_recover(
-                            g,
-                            c,
-                            snap,
-                            &mut xs[c],
-                            &mut r[c],
-                            &mut p[c],
-                            &mut v[c],
-                            &mut rho[c],
-                            &mut alpha[c],
-                            &mut omega[c],
-                            &mut res[c],
-                            &mut iters[c],
-                            &mut matvecs[c],
-                            &mut verify_mv[c],
-                            &mut rolled[c],
-                            &mut rollbacks[c],
-                        ) {
-                            resumed.push(c);
-                        } else {
-                            stats[c] = Some(SolveStats {
-                                verify_matvecs: verify_mv[c],
-                                rolled_back: rolled[c],
-                                iterations: iters[c],
-                                matvecs: matvecs[c],
-                                rel_residual: res[c],
-                                converged: false,
-                            });
-                        }
-                        continue;
-                    }
-                }
-            }
-            after_update.push(c);
-        }
-        active = after_update;
-        if !resumed.is_empty() {
-            active.extend(resumed);
-            active.sort_unstable();
-        }
-    }
-
-    let out: Vec<SolveStats> = stats
-        .into_iter()
-        .map(|s| s.expect("every column finalized"))
-        .collect();
-    if ffw_obs::enabled() {
-        for st in &out {
-            ffw_obs::counter("solver.bicgstab.solves").inc();
-            ffw_obs::counter("solver.bicgstab.iters").add(st.iterations as u64);
-            ffw_obs::counter("solver.bicgstab.matvecs").add(st.matvecs as u64);
-            ffw_obs::histogram("solver.bicgstab.iters_per_solve").record(st.iterations as u64);
-        }
-    }
-    out
+    let mut xs = vec![x.to_vec()];
+    let Ok(mut cols) = solve_lockstep(a, &[b], &mut xs, cfg, &opts);
+    x.copy_from_slice(&xs[0]);
+    cols.pop().expect("one column").into_result()
 }
 
 #[cfg(test)]

@@ -117,22 +117,6 @@ impl<G: BlockLinOp + ?Sized> ForwardBackend for BornSeriesBackend<'_, G> {
     fn name(&self) -> &'static str {
         crate::backend::BackendChoice::BornSeries.as_str()
     }
-    fn solve(&self, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats {
-        let a = ScatteringOp::new(self.g0, self.object);
-        let mut xs = vec![x.to_vec()];
-        let stats = richardson_impl(&a, self.gamma, &[b], &mut xs, cfg, self.guard);
-        x.copy_from_slice(&xs[0]);
-        stats.into_iter().next().expect("one column")
-    }
-    fn solve_adjoint(&self, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats {
-        let a = AdjointScatteringOp::new(self.g0, self.object);
-        // (I - gamma' A^H)^H = I - conj(gamma') A: taking gamma' = conj(gamma)
-        // gives the adjoint sweep the same contraction norm as the forward one.
-        let mut xs = vec![x.to_vec()];
-        let stats = richardson_impl(&a, self.gamma.conj(), &[b], &mut xs, cfg, self.guard);
-        x.copy_from_slice(&xs[0]);
-        stats.into_iter().next().expect("one column")
-    }
     fn solve_block(&self, bs: &[&[C64]], xs: &mut [Vec<C64>], cfg: IterConfig) -> Vec<SolveStats> {
         let a = ScatteringOp::new(self.g0, self.object);
         richardson_impl(&a, self.gamma, bs, xs, cfg, self.guard)
@@ -144,6 +128,8 @@ impl<G: BlockLinOp + ?Sized> ForwardBackend for BornSeriesBackend<'_, G> {
         cfg: IterConfig,
     ) -> Vec<SolveStats> {
         let a = AdjointScatteringOp::new(self.g0, self.object);
+        // (I - gamma' A^H)^H = I - conj(gamma') A: taking gamma' = conj(gamma)
+        // gives the adjoint sweep the same contraction norm as the forward one.
         richardson_impl(&a, self.gamma.conj(), bs, xs, cfg, self.guard)
     }
 }
@@ -230,7 +216,7 @@ fn richardson_impl<A: BlockLinOp + ?Sized>(
     }
 
     // Fresh residuals r = b - A x, one fused apply over all live columns.
-    apply_cols(a, &live, xs, &mut r);
+    let Ok(()) = apply_cols(a, &live, xs, &mut r);
     let mut active: Vec<usize> = Vec::with_capacity(live.len());
     for &c in &live {
         matvecs[c] += 1;
@@ -303,7 +289,7 @@ fn richardson_impl<A: BlockLinOp + ?Sized>(
 
         // ar = A r, fused over the active columns, then per column:
         // x += gamma r;  r -= gamma ar  (i.e. r_{n+1} = (I - gamma A) r_n).
-        apply_cols(a, &active, &r, &mut ar);
+        let Ok(()) = apply_cols(a, &active, &r, &mut ar);
         let mut still_active = Vec::with_capacity(active.len());
         for &c in &active {
             matvecs[c] += 1;
@@ -344,7 +330,7 @@ fn richardson_impl<A: BlockLinOp + ?Sized>(
                 // snapshot — the trajectory stays bit-identical to the
                 // unguarded run.
                 if converging || iters[c].is_multiple_of(g.period) {
-                    let drift = residual_drift(a, bs[c], &xs[c], &r[c], b_norm[c]);
+                    let Ok(drift) = residual_drift(a, bs[c], &xs[c], &r[c], b_norm[c]);
                     verify_mv[c] += 1;
                     if drift > g.rel_tol {
                         g.record_detected();

@@ -6,8 +6,9 @@
 //! CGNR (CG on the normal equations) solves the least-squares problems of the
 //! linear Born inversion baseline.
 
-use crate::op::LinOp;
-use ffw_numerics::vecops::{axpy, norm2, sub_into, zdotc};
+use crate::block::{solve_lockstep, ColumnSolve, LockstepOptions};
+use crate::op::{BlockLinOp, LinOp};
+use ffw_numerics::vecops::{norm2, sub_into, zdotc};
 use ffw_numerics::C64;
 use std::fmt;
 
@@ -123,13 +124,6 @@ pub(crate) fn finite_c(v: C64) -> bool {
     v.re.is_finite() && v.im.is_finite()
 }
 
-/// How one BiCGStab cycle (fresh residual to termination) ended.
-enum CycleEnd {
-    Converged(f64),
-    MaxIters(f64),
-    Breakdown { kind: BreakdownKind, res: f64 },
-}
-
 /// Solver configuration.
 #[derive(Clone, Copy, Debug)]
 pub struct IterConfig {
@@ -149,244 +143,54 @@ impl Default for IterConfig {
     }
 }
 
-/// One BiCGStab cycle: build a fresh residual from the current `x` and
-/// iterate until convergence, the (shared) iteration budget, or a breakdown.
-/// On breakdown `x` is restored to the last finite iterate.
-fn bicgstab_cycle<A: LinOp + ?Sized>(
-    a: &A,
-    b: &[C64],
-    x: &mut [C64],
-    cfg: IterConfig,
-    b_norm: f64,
-    iters: &mut usize,
-    matvecs: &mut usize,
-) -> CycleEnd {
-    let n = b.len();
-    let mut r = vec![C64::ZERO; n];
-    a.apply(x, &mut r);
-    *matvecs += 1;
-    sub_into(b, &r.clone(), &mut r); // r = b - A x
-    let r_hat = r.clone();
-    let mut rho = C64::ONE;
-    let mut alpha = C64::ONE;
-    let mut omega = C64::ONE;
-    let mut v = vec![C64::ZERO; n];
-    let mut p = vec![C64::ZERO; n];
-    let mut s = vec![C64::ZERO; n];
-    let mut t = vec![C64::ZERO; n];
-    let mut x_prev = vec![C64::ZERO; n];
+/// Presents a single-RHS [`LinOp`] as a block operator whose panels loop
+/// `apply`, so the lockstep core performs exactly the scalar applies.
+struct Columns<'a, A: ?Sized>(&'a A);
 
-    let mut res = norm2(&r) / b_norm;
-    if !res.is_finite() {
-        return CycleEnd::Breakdown {
-            kind: BreakdownKind::NonFinite,
-            res: f64::NAN,
-        };
+impl<A: LinOp + ?Sized> LinOp for Columns<'_, A> {
+    fn dim_out(&self) -> usize {
+        self.0.dim_out()
     }
-    ffw_obs::series_push("solver.bicgstab.residual", res);
-    if res < cfg.tol {
-        return CycleEnd::Converged(res);
+    fn dim_in(&self) -> usize {
+        self.0.dim_in()
     }
-
-    loop {
-        if *iters >= cfg.max_iters {
-            return CycleEnd::MaxIters(res);
-        }
-        let rho_new = zdotc(&r_hat, &r);
-        if !finite_c(rho_new) {
-            return CycleEnd::Breakdown {
-                kind: BreakdownKind::NonFinite,
-                res,
-            };
-        }
-        if rho_new.abs() < 1e-300 {
-            return CycleEnd::Breakdown {
-                kind: BreakdownKind::RhoZero,
-                res,
-            };
-        }
-        *iters += 1;
-        let beta = (rho_new / rho) * (alpha / omega);
-        // p = r + beta (p - omega v)
-        for i in 0..n {
-            p[i] = r[i] + beta * (p[i] - omega * v[i]);
-        }
-        a.apply(&p, &mut v);
-        *matvecs += 1;
-        alpha = rho_new / zdotc(&r_hat, &v);
-        // s = r - alpha v
-        for i in 0..n {
-            s[i] = r[i] - alpha * v[i];
-        }
-        let s_norm = norm2(&s) / b_norm;
-        if s_norm < cfg.tol {
-            axpy(alpha, &p, x);
-            ffw_obs::series_push("solver.bicgstab.residual", s_norm);
-            return CycleEnd::Converged(s_norm);
-        }
-        a.apply(&s, &mut t);
-        *matvecs += 1;
-        let tt = zdotc(&t, &t);
-        omega = zdotc(&t, &s) / tt;
-        // x += alpha p + omega s; r = s - omega t. Snapshot x first so a
-        // non-finite update can be rolled back instead of poisoning the
-        // iterate (the historical silent-divergence bug: NaN residuals fail
-        // every `<` comparison, so the loop ran to max_iters and reported a
-        // NaN x as if it were a best effort).
-        x_prev.copy_from_slice(x);
-        for i in 0..n {
-            x[i] += alpha * p[i] + omega * s[i];
-            r[i] = s[i] - omega * t[i];
-        }
-        let res_new = norm2(&r) / b_norm;
-        if !res_new.is_finite() {
-            // The rolled-back iterate does not contain this step's update,
-            // so the step must not be counted: `iterations` means "update
-            // steps reflected in the returned iterate".
-            x.copy_from_slice(&x_prev);
-            *iters -= 1;
-            return CycleEnd::Breakdown {
-                kind: BreakdownKind::NonFinite,
-                res,
-            };
-        }
-        res = res_new;
-        ffw_obs::series_push("solver.bicgstab.residual", res);
-        if res < cfg.tol {
-            return CycleEnd::Converged(res);
-        }
-        rho = rho_new;
+    fn apply(&self, x: &[C64], y: &mut [C64]) {
+        self.0.apply(x, y);
     }
 }
 
-fn bicgstab_impl<A: LinOp + ?Sized>(
-    a: &A,
-    b: &[C64],
-    x: &mut [C64],
-    cfg: IterConfig,
-    max_restarts: u32,
-) -> Result<SolveStats, SolveError> {
-    let _span = ffw_obs::span("solver.bicgstab");
-    let out = bicgstab_impl_inner(a, b, x, cfg, max_restarts);
-    if ffw_obs::enabled() {
-        let (it, mv) = match &out {
-            Ok(s) => (s.iterations, s.matvecs),
-            Err(SolveError::Breakdown {
-                iterations,
-                matvecs,
-                ..
-            }) => (*iterations, *matvecs),
-        };
-        ffw_obs::counter("solver.bicgstab.solves").inc();
-        ffw_obs::counter("solver.bicgstab.iters").add(it as u64);
-        ffw_obs::counter("solver.bicgstab.matvecs").add(mv as u64);
-        ffw_obs::histogram("solver.bicgstab.iters_per_solve").record(it as u64);
-        if let Err(e) = &out {
-            ffw_obs::event("solver.breakdown", &format!("bicgstab: {e}"));
-        }
-    }
-    out
-}
+impl<A: LinOp + ?Sized> BlockLinOp for Columns<'_, A> {}
 
-fn bicgstab_impl_inner<A: LinOp + ?Sized>(
+/// A width-1 [`solve_lockstep`] with `restarts` restarts allowed.
+fn solve_one<A: LinOp + ?Sized>(
     a: &A,
     b: &[C64],
     x: &mut [C64],
     cfg: IterConfig,
-    max_restarts: u32,
-) -> Result<SolveStats, SolveError> {
-    let n = b.len();
-    assert_eq!(a.dim_in(), n);
-    assert_eq!(a.dim_out(), n);
-    assert_eq!(x.len(), n);
-    let b_norm = norm2(b);
-    if b_norm == 0.0 {
-        x.iter_mut().for_each(|v| *v = C64::ZERO);
-        return Ok(SolveStats {
-            verify_matvecs: 0,
-            rolled_back: 0,
-            iterations: 0,
-            matvecs: 0,
-            rel_residual: 0.0,
-            converged: true,
-        });
-    }
-    let mut iters = 0usize;
-    let mut matvecs = 0usize;
-    let mut restarts = 0u32;
-    loop {
-        match bicgstab_cycle(a, b, x, cfg, b_norm, &mut iters, &mut matvecs) {
-            CycleEnd::Converged(res) => {
-                return Ok(SolveStats {
-                    verify_matvecs: 0,
-                    rolled_back: 0,
-                    iterations: iters,
-                    matvecs,
-                    rel_residual: res,
-                    converged: true,
-                })
-            }
-            CycleEnd::MaxIters(res) => {
-                return Ok(SolveStats {
-                    verify_matvecs: 0,
-                    rolled_back: 0,
-                    iterations: iters,
-                    matvecs,
-                    rel_residual: res,
-                    converged: false,
-                })
-            }
-            CycleEnd::Breakdown { kind, res } => {
-                let x_finite = x.iter().all(|v| finite_c(*v));
-                if restarts < max_restarts && iters < cfg.max_iters && x_finite {
-                    // Restart from the last finite iterate: the next cycle
-                    // re-derives r and r_hat from the current x, which breaks
-                    // the degenerate Krylov directions that caused the
-                    // breakdown while keeping the progress made so far.
-                    restarts += 1;
-                    ffw_obs::event(
-                        "solver.restart",
-                        &format!("bicgstab restart {restarts} after {kind} at iter {iters}"),
-                    );
-                    continue;
-                }
-                return Err(SolveError::Breakdown {
-                    kind,
-                    iterations: iters,
-                    matvecs,
-                    rel_residual: res,
-                    restarts,
-                });
-            }
-        }
-    }
+    restarts: u32,
+) -> ColumnSolve {
+    assert_eq!(a.dim_in(), b.len());
+    assert_eq!(a.dim_out(), b.len());
+    let opts = LockstepOptions {
+        restarts,
+        ..LockstepOptions::default()
+    };
+    let mut xs = vec![x.to_vec()];
+    let Ok(mut cols) = solve_lockstep(&Columns(a), &[b], &mut xs, cfg, &opts);
+    x.copy_from_slice(&xs[0]);
+    cols.pop().expect("one column")
 }
 
 /// Unpreconditioned BiCGStab: solves `A x = b`, starting from the provided
 /// `x` (commonly zero). Two matvecs per iteration — the dominant cost the
-/// MLFMA accelerates (paper Fig. 4).
+/// MLFMA accelerates (paper Fig. 4). A width-1 [`solve_lockstep`].
 ///
 /// On a rho-underflow or NaN/Inf breakdown this returns honest unconverged
 /// stats with `x` left at the last *finite* iterate (never NaN). Callers
 /// that need to distinguish breakdown from slow convergence should use
 /// [`bicgstab_checked`], which also retries once before giving up.
 pub fn bicgstab<A: LinOp + ?Sized>(a: &A, b: &[C64], x: &mut [C64], cfg: IterConfig) -> SolveStats {
-    match bicgstab_impl(a, b, x, cfg, 0) {
-        Ok(stats) => stats,
-        Err(SolveError::Breakdown {
-            iterations,
-            matvecs,
-            rel_residual,
-            ..
-        }) => SolveStats {
-            verify_matvecs: 0,
-            rolled_back: 0,
-            iterations,
-            matvecs,
-            rel_residual,
-            converged: false,
-        },
-    }
+    solve_one(a, b, x, cfg, 0).stats
 }
 
 /// BiCGStab with typed breakdown reporting: on rho underflow or a NaN/Inf
@@ -400,7 +204,7 @@ pub fn bicgstab_checked<A: LinOp + ?Sized>(
     x: &mut [C64],
     cfg: IterConfig,
 ) -> Result<SolveStats, SolveError> {
-    bicgstab_impl(a, b, x, cfg, 1)
+    solve_one(a, b, x, cfg, 1).into_result()
 }
 
 /// Conjugate gradients for Hermitian positive-definite `A`.

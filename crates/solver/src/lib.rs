@@ -21,11 +21,13 @@ pub mod precond;
 pub mod verify;
 
 pub use backend::{
-    estimate_g0_norm, make_backend, make_backend_guarded, max_object_abs, BackendChoice,
-    BackendError, BicgstabBackend, ForwardBackend, KAPPA_LIMIT, NORM_ESTIMATE_ITERS,
-    NORM_ESTIMATE_SEED,
+    estimate_g0_norm, make_backend, make_backend_with, max_object_abs, BackendChoice, BackendError,
+    BicgstabBackend, ForwardBackend, KAPPA_LIMIT, NORM_ESTIMATE_ITERS, NORM_ESTIMATE_SEED,
 };
-pub use block::{bicgstab_block, bicgstab_block_guarded, bicgstab_guarded};
+pub use block::{
+    bicgstab_block, bicgstab_block_guarded, bicgstab_guarded, solve_lockstep, ColumnSolve,
+    KrylovContext, LockstepOptions,
+};
 pub use bornseries::{choose_gamma, BornSeriesBackend};
 pub use forward::{
     g0_adjoint_apply, g0_adjoint_apply_block, solve_adjoint, solve_adjoint_block, solve_forward,
@@ -36,7 +38,7 @@ pub use krylov::{
     bicgstab, bicgstab_checked, cg, cgnr, BreakdownKind, IterConfig, SolveError, SolveStats,
 };
 pub use op::{BlockLinOp, CountingOp, DiagonalOp, FnOp, IdentityOp, LinOp};
-pub use precond::{bicgstab_precond, IdentityPrecond, JacobiPrecond, Precond};
+pub use precond::{IdentityPrecond, JacobiPrecond, Precond};
 pub use verify::{
     flip_panel_bit, flip_panel_bit_detectable, ComputeInjector, DriftGuard, VerifiedBlockOp,
     VerifyConfig, DEFAULT_CHECKSUM_REL_TOL, DEFAULT_DRIFT_PERIOD, DEFAULT_DRIFT_REL_TOL,

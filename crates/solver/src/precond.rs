@@ -1,10 +1,13 @@
 //! Preconditioning for the Krylov solvers — the paper's Section VIII
 //! future-work item ("preconditioning of the system to address situations
 //! where the problem goes into resonance and near-resonance frequencies").
+//!
+//! A preconditioner is an option of the lockstep BiCGStab core
+//! ([`crate::LockstepOptions::precond`]): right preconditioning advances
+//! the iterate along `M p` and `M s` while every residual stays a true
+//! residual of `A x = b`, so convergence reporting is comparable to the
+//! unpreconditioned solver.
 
-use crate::krylov::{IterConfig, SolveStats};
-use crate::op::LinOp;
-use ffw_numerics::vecops::{norm2, norm2_sqr, sub_into, zdotc};
 use ffw_numerics::C64;
 
 /// An (approximate) inverse `z ~ A^{-1} r` applied as `z = M r`.
@@ -33,131 +36,33 @@ impl Precond for JacobiPrecond {
     }
 }
 
-/// Right-preconditioned BiCGStab: solves `A M y = b`, `x = M y`, but in the
-/// standard formulation that updates `x` directly (Templates, ch. 2.3.8).
-/// Residuals are true residuals of `A x = b`, so convergence reporting is
-/// comparable to the unpreconditioned solver.
-pub fn bicgstab_precond<A: LinOp + ?Sized, M: Precond + ?Sized>(
-    a: &A,
-    m: &M,
-    b: &[C64],
-    x: &mut [C64],
-    cfg: IterConfig,
-) -> SolveStats {
-    let n = b.len();
-    assert_eq!(x.len(), n);
-    let b_norm = norm2(b);
-    if b_norm == 0.0 {
-        x.iter_mut().for_each(|v| *v = C64::ZERO);
-        return SolveStats {
-            verify_matvecs: 0,
-            rolled_back: 0,
-            iterations: 0,
-            matvecs: 0,
-            rel_residual: 0.0,
-            converged: true,
-        };
-    }
-    let mut matvecs = 0usize;
-    let mut r = vec![C64::ZERO; n];
-    a.apply(x, &mut r);
-    matvecs += 1;
-    sub_into(b, &r.clone(), &mut r);
-    let r_hat = r.clone();
-    let mut rho = C64::ONE;
-    let mut alpha = C64::ONE;
-    let mut omega = C64::ONE;
-    let mut v = vec![C64::ZERO; n];
-    let mut p = vec![C64::ZERO; n];
-    let mut p_hat = vec![C64::ZERO; n];
-    let mut s = vec![C64::ZERO; n];
-    let mut s_hat = vec![C64::ZERO; n];
-    let mut t = vec![C64::ZERO; n];
-    let mut res = norm2(&r) / b_norm;
-    if res < cfg.tol {
-        return SolveStats {
-            verify_matvecs: 0,
-            rolled_back: 0,
-            iterations: 0,
-            matvecs,
-            rel_residual: res,
-            converged: true,
-        };
-    }
-    for iter in 1..=cfg.max_iters {
-        let rho_new = zdotc(&r_hat, &r);
-        if rho_new.abs() < 1e-300 {
-            return SolveStats {
-                verify_matvecs: 0,
-                rolled_back: 0,
-                iterations: iter - 1,
-                matvecs,
-                rel_residual: res,
-                converged: false,
-            };
-        }
-        let beta = (rho_new / rho) * (alpha / omega);
-        for i in 0..n {
-            p[i] = r[i] + beta * (p[i] - omega * v[i]);
-        }
-        m.apply(&p, &mut p_hat);
-        a.apply(&p_hat, &mut v);
-        matvecs += 1;
-        alpha = rho_new / zdotc(&r_hat, &v);
-        for i in 0..n {
-            s[i] = r[i] - alpha * v[i];
-        }
-        if norm2_sqr(&s).sqrt() / b_norm < cfg.tol {
-            for i in 0..n {
-                x[i] += alpha * p_hat[i];
-            }
-            return SolveStats {
-                verify_matvecs: 0,
-                rolled_back: 0,
-                iterations: iter,
-                matvecs,
-                rel_residual: norm2(&s) / b_norm,
-                converged: true,
-            };
-        }
-        m.apply(&s, &mut s_hat);
-        a.apply(&s_hat, &mut t);
-        matvecs += 1;
-        omega = zdotc(&t, &s) / zdotc(&t, &t);
-        for i in 0..n {
-            x[i] += alpha * p_hat[i] + omega * s_hat[i];
-            r[i] = s[i] - omega * t[i];
-        }
-        res = norm2(&r) / b_norm;
-        if res < cfg.tol {
-            return SolveStats {
-                verify_matvecs: 0,
-                rolled_back: 0,
-                iterations: iter,
-                matvecs,
-                rel_residual: res,
-                converged: true,
-            };
-        }
-        rho = rho_new;
-    }
-    SolveStats {
-        verify_matvecs: 0,
-        rolled_back: 0,
-        iterations: cfg.max_iters,
-        matvecs,
-        rel_residual: res,
-        converged: false,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::krylov::bicgstab;
+    use crate::block::{solve_lockstep, LockstepOptions};
+    use crate::krylov::{bicgstab, IterConfig, SolveStats};
+    use crate::op::BlockLinOp;
     use ffw_numerics::c64;
     use ffw_numerics::linalg::Matrix;
-    use ffw_numerics::vecops::rel_diff;
+    use ffw_numerics::vecops::{norm2, rel_diff};
+
+    /// One right-preconditioned column through the lockstep core.
+    fn solve_pre<A: BlockLinOp>(
+        a: &A,
+        m: &dyn Precond,
+        b: &[C64],
+        x: &mut [C64],
+        cfg: IterConfig,
+    ) -> SolveStats {
+        let opts = LockstepOptions {
+            precond: Some(m),
+            ..LockstepOptions::default()
+        };
+        let mut xs = vec![x.to_vec()];
+        let Ok(mut cols) = solve_lockstep(a, &[b], &mut xs, cfg, &opts);
+        x.copy_from_slice(&xs[0]);
+        cols.pop().expect("one column").stats
+    }
 
     fn ill_conditioned(n: usize, seed: u64) -> Matrix {
         // strongly varying diagonal + small random coupling
@@ -189,7 +94,7 @@ mod tests {
         let mut x1 = vec![C64::ZERO; n];
         let s1 = bicgstab(&a, &b, &mut x1, cfg);
         let mut x2 = vec![C64::ZERO; n];
-        let s2 = bicgstab_precond(&a, &IdentityPrecond, &b, &mut x2, cfg);
+        let s2 = solve_pre(&a, &IdentityPrecond, &b, &mut x2, cfg);
         assert!(s1.converged && s2.converged);
         assert!(rel_diff(&x1, &x2) < 1e-7);
     }
@@ -208,7 +113,7 @@ mod tests {
         let diag: Vec<C64> = (0..n).map(|i| a.at(i, i)).collect();
         let m = JacobiPrecond(diag);
         let mut x_pre = vec![C64::ZERO; n];
-        let pre = bicgstab_precond(&a, &m, &b, &mut x_pre, cfg);
+        let pre = solve_pre(&a, &m, &b, &mut x_pre, cfg);
         assert!(pre.converged);
         assert!(
             pre.iterations < plain.iterations,
@@ -227,7 +132,7 @@ mod tests {
         let b: Vec<C64> = (0..n).map(|i| c64(0.5, -(i as f64) * 0.05)).collect();
         let diag: Vec<C64> = (0..n).map(|i| a.at(i, i)).collect();
         let mut x = vec![C64::ZERO; n];
-        let stats = bicgstab_precond(
+        let stats = solve_pre(
             &a,
             &JacobiPrecond(diag),
             &b,
@@ -248,5 +153,27 @@ mod tests {
             .sqrt()
             / norm2(&b);
         assert!(true_res < 1e-8, "true residual {true_res}");
+    }
+
+    #[test]
+    fn preconditioned_breakdown_rolls_back_to_a_finite_iterate() {
+        // Regression test: the preconditioned solver had no finite checks,
+        // so on a singular operator alpha = rho / <r_hat, A M p> divided by
+        // zero, NaN failed every `<` test, and the solve ran to max_iters
+        // and returned a NaN iterate as a plain unconverged result.
+        let n = 8;
+        let zero_op = crate::op::FnOp::new(n, n, |_v: &[C64], out: &mut [C64]| {
+            out.iter_mut().for_each(|o| *o = C64::ZERO);
+        });
+        let m = JacobiPrecond(vec![c64(2.0, 0.5); n]);
+        let b = vec![c64(1.0, 0.5); n];
+        let mut x = vec![C64::ZERO; n];
+        let stats = solve_pre(&zero_op, &m, &b, &mut x, IterConfig::default());
+        assert!(!stats.converged);
+        assert!(stats.rel_residual.is_finite(), "{stats:?}");
+        assert!(
+            x.iter().all(|v| v.re.is_finite() && v.im.is_finite()),
+            "iterate must be rolled back to the last finite value"
+        );
     }
 }
